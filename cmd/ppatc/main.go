@@ -64,7 +64,7 @@ func run(args []string) error {
 	provenance := fs.Bool("provenance", false, "for table2: print each stage's intermediate quantities after the table")
 	specPath := fs.String("spec", "", "for sweep: JSON sweep spec file ('-' reads stdin)")
 	parallel := fs.Int("p", 0, "for sweep: worker count (default GOMAXPROCS; any value gives identical results)")
-	checkpoint := fs.String("checkpoint", "", "for sweep: checkpoint file — interrupted sweeps resume from it")
+	checkpoint := fs.String("checkpoint", "", "for sweep: result-store directory — completed points persist there and interrupted sweeps resume from it")
 	noMemo := fs.Bool("no-memo", false, "for sweep: disable stage memoization (identical output, slower)")
 	if len(args) == 0 {
 		fs.Usage()

@@ -9,14 +9,17 @@ import (
 	"os/signal"
 
 	"ppatc/internal/dse"
+	"ppatc/internal/store"
 )
 
 // runSweep drives `ppatc sweep -spec spec.json`: expand the spec, stream
 // results to stdout as NDJSON while the worker pool runs, and print the
 // analyses (Pareto frontier, sensitivity, win probabilities) to stderr
-// so stdout stays machine-readable. With -checkpoint, completed points
-// persist across interrupts: Ctrl-C, re-run, and the sweep resumes.
-func runSweep(ctx context.Context, specPath string, workers int, ckptPath string, noMemo bool) error {
+// so stdout stays machine-readable. With -checkpoint <dir>, completed
+// points persist to a segment store in dir: Ctrl-C, re-run, and the
+// sweep resumes from the points already there — including points an
+// earlier, different sweep computed into the same directory.
+func runSweep(ctx context.Context, specPath string, workers int, storeDir string, noMemo bool) error {
 	if specPath == "" {
 		return errors.New("sweep needs -spec <file> (or -spec - for stdin)")
 	}
@@ -38,7 +41,7 @@ func runSweep(ctx context.Context, specPath string, workers int, ckptPath string
 		return err
 	}
 
-	// Ctrl-C cancels the run but leaves the checkpoint behind.
+	// Ctrl-C cancels the run but leaves the store behind.
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
@@ -56,29 +59,36 @@ func runSweep(ctx context.Context, specPath string, workers int, ckptPath string
 			return err
 		},
 	}
-	if ckptPath != "" {
-		cp, err := dse.OpenCheckpoint(ckptPath, plan)
-		if err != nil {
+	var st *store.SegmentStore
+	if storeDir != "" {
+		if st, err = store.OpenSegmentStore(storeDir, 0); err != nil {
 			return err
 		}
-		defer cp.Close()
-		if n := len(cp.Completed); n > 0 {
+		defer st.Close() // for error returns; success checks Close below
+		opts.Completed = dse.StoredCompleted(st, plan)
+		if n := len(opts.Completed); n > 0 {
 			fmt.Fprintf(os.Stderr, "ppatc: resuming %s: %d/%d points from %s\n",
-				spec.Name, n, len(plan.Points), ckptPath)
+				spec.Name, n, len(plan.Points), storeDir)
 		}
-		opts.Completed = cp.Completed
-		opts.OnComplete = cp.Record
+		// A point that cannot be persisted fails the run, so a later
+		// resume never silently re-evaluates it.
+		opts.OnComplete = func(r dse.Result) error { return dse.PersistPoint(st, plan, r) }
 	}
 
 	results, err := dse.RunPlan(ctx, plan, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) && ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "ppatc: sweep interrupted; re-run with -checkpoint %s to resume\n", ckptPath)
+		if errors.Is(err, context.Canceled) && storeDir != "" {
+			fmt.Fprintf(os.Stderr, "ppatc: sweep interrupted; re-run with -checkpoint %s to resume\n", storeDir)
 		}
 		return err
 	}
 	if err := out.Flush(); err != nil {
 		return err
+	}
+	if st != nil {
+		if err := st.Close(); err != nil {
+			return err
+		}
 	}
 
 	// Analyses go to stderr: the frontier always; sensitivity and win

@@ -16,7 +16,8 @@
 // aggregation paired across the system axis (the Monte Carlo companion
 // of tcdp.MonteCarlo).
 //
-// Long sweeps checkpoint completed points to disk (Checkpoint), so a
-// cancelled CLI run or a restarted ppatcd daemon resumes instead of
-// recomputing.
+// Long sweeps persist each completed point to a store.ResultStore
+// (PersistPoint) and resume by adopting stored points (StoredCompleted),
+// so a cancelled CLI run or a restarted ppatcd daemon resumes instead of
+// recomputing. The store's SegmentStore is the only on-disk format.
 package dse

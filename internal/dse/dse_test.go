@@ -3,16 +3,18 @@ package dse
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ppatc/internal/obs"
+	"ppatc/internal/store"
 )
 
 // testSpec is a small but multi-axis sweep: 2 systems × 1 workload ×
@@ -236,17 +238,19 @@ func TestYieldOverrideExact(t *testing.T) {
 	}
 }
 
-// TestResume cancels a sweep mid-run, resumes from the checkpoint, and
-// verifies via the obs counter that no point was evaluated twice.
+// TestResume cancels a sweep mid-run, resumes from a SegmentStore
+// reopened on the same directory, and verifies via the obs counter that
+// no point was evaluated twice and that the resumed NDJSON is
+// byte-identical to an uninterrupted run.
 func TestResume(t *testing.T) {
 	spec := testSpec()
 	plan, err := Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	dir := t.TempDir()
 
-	cp, err := OpenCheckpoint(path, plan)
+	st, err := store.OpenSegmentStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestResume(t *testing.T) {
 		Workers:     2,
 		EvalCounter: &c1,
 		OnComplete: func(r Result) error {
-			if err := cp.Record(r); err != nil {
+			if err := PersistPoint(st, plan, r); err != nil {
 				return err
 			}
 			if recorded.Add(1) == 3 {
@@ -272,28 +276,29 @@ func TestResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run: %v, want context.Canceled", err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if c1.Load() == 0 || c1.Load() >= int64(len(plan.Points)) {
 		t.Fatalf("first run recorded %d points, want strictly between 0 and %d", c1.Load(), len(plan.Points))
 	}
 
-	// Resume: reopen the checkpoint, feed its results back in.
-	cp2, err := OpenCheckpoint(path, plan)
+	// Resume: reopen the store, adopt its points.
+	st2, err := store.OpenSegmentStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if len(cp2.Completed) != int(c1.Load()) {
-		t.Fatalf("checkpoint recovered %d points, counter says %d", len(cp2.Completed), c1.Load())
+	defer st2.Close()
+	completed := StoredCompleted(st2, plan)
+	if len(completed) != int(c1.Load()) {
+		t.Fatalf("store recovered %d points, counter says %d", len(completed), c1.Load())
 	}
 	var c2 obs.Counter
 	results, err := RunPlan(context.Background(), plan, Options{
 		Workers:     2,
-		Completed:   cp2.Completed,
+		Completed:   completed,
 		EvalCounter: &c2,
-		OnComplete:  cp2.Record,
+		OnComplete:  func(r Result) error { return PersistPoint(st2, plan, r) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,30 +315,6 @@ func TestResume(t *testing.T) {
 	}
 	if !bytes.Equal(ndjson(t, results), ndjson(t, clean)) {
 		t.Error("resumed results differ from an uninterrupted run")
-	}
-}
-
-// TestCheckpointRejectsOtherSpec ensures a checkpoint can't resume a
-// different sweep.
-func TestCheckpointRejectsOtherSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	planA, err := Expand(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := OpenCheckpoint(path, planA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	other := testSpec()
-	other.Seed = 99
-	planB, err := Expand(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, planB); err == nil || !strings.Contains(err.Error(), "different spec") {
-		t.Fatalf("got %v, want different-spec rejection", err)
 	}
 }
 
@@ -512,6 +493,50 @@ func TestSpecValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want error containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestExpandRejectsOversizedSpecs pins the plan bound: oversized specs
+// are an error from Expand, with no panic and no large allocation. The
+// specs skip ParseSpec so Expand's own checks are what stops them.
+func TestExpandRejectsOversizedSpecs(t *testing.T) {
+	for _, c := range []struct {
+		name, json string
+	}{
+		// Before the bound this made Expand panic: the product of axis
+		// counts overflowed into makeslice.
+		{"four linspace axes", `{"axes": {
+			"clock_mhz": {"linspace": {"lo": 100, "hi": 500, "n": 100000}},
+			"lifetime_months": {"linspace": {"lo": 1, "hi": 90, "n": 100000}},
+			"m3d_embodied_scale": {"linspace": {"lo": 0.5, "hi": 2, "n": 100000}},
+			"ci_use_scale": {"linspace": {"lo": 0.1, "hi": 2, "n": 100000}}}}`},
+		// Before the bound this asked for a 1.6 GB sample slice, then a
+		// far larger point slice.
+		{"huge samples", `{"samples": 200000000, "axes": {"lifetime_months": {"dist": {"kind": "uniform", "lo": 1, "hi": 90}}}}`},
+		{"axis n over the cap", `{"axes": {"clock_mhz": {"linspace": {"lo": 1, "hi": 2, "n": 2000000000}}}}`},
+		// Each count fits the cap; only their product (2 systems ×
+		// 2^20 replicas) does not.
+		{"product over the cap", `{"samples": 1048576, "axes": {"lifetime_months": {"dist": {"kind": "uniform", "lo": 1, "hi": 90}}}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var spec Spec
+			if err := json.Unmarshal([]byte(c.json), &spec); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			plan, err := Expand(&spec)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("expanded to %d points, want an error", len(plan.Points))
+			}
+			if !strings.Contains(err.Error(), fmt.Sprint(MaxPlanPoints)) {
+				t.Errorf("error %q does not name the cap", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+				t.Errorf("rejecting the spec allocated %d bytes", alloc)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // design space plus a per-point seed.
 type Point struct {
 	// Index is the point's position in the plan (stable across runs and
-	// worker counts; checkpoints key on it).
+	// worker counts; Options.Completed keys on it).
 	Index int
 	// Seed is the per-point seed derived from the root seed and Index,
 	// available to any stochastic evaluation stage.
@@ -43,7 +43,7 @@ type Point struct {
 type Plan struct {
 	// Spec is the normalized spec the plan was expanded from.
 	Spec *Spec
-	// Hash identifies the normalized spec (checkpoint identity).
+	// Hash identifies the normalized spec (sweep job identity).
 	Hash string
 	// Points are the evaluations, in deterministic order.
 	Points []Point
@@ -57,13 +57,6 @@ type numLevels struct {
 	present bool
 	fixed   []float64 // nil for sampled axes
 	sampled []float64 // indexed by replica
-}
-
-func (l numLevels) count() int {
-	if !l.present || l.sampled != nil {
-		return 1
-	}
-	return len(l.fixed)
 }
 
 // value resolves the level at a coordinate; ok is false when the axis is
@@ -136,10 +129,6 @@ func Expand(spec *Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	grids, err := expandGrids(n.Axes.Grid)
-	if err != nil {
-		return nil, err
-	}
 
 	samples := n.Samples
 	replicas := 1
@@ -158,6 +147,33 @@ func Expand(spec *Spec) (*Plan, error) {
 		{"m3d_embodied_scale", n.Axes.M3DEmbodiedScale},
 		{"ci_use_scale", n.Axes.CIUseScale},
 	}
+
+	// Size the plan from the spec alone, before any grid, sample or
+	// point is allocated.
+	g := n.Axes.Grid
+	counts := []int{len(n.Axes.System), len(n.Axes.Workload), len(g.Names) + len(g.Custom)}
+	if g.Intensity != nil {
+		counts[2] += g.Intensity.levels()
+	}
+	for _, d := range dims {
+		counts = append(counts, d.axis.levels())
+	}
+	counts = append(counts, replicas)
+	total := 1
+	for _, c := range counts {
+		if c == 0 {
+			return nil, fmt.Errorf("dse: empty axis in spec %q", n.Name)
+		}
+		if c > MaxPlanPoints/total {
+			return nil, fmt.Errorf("dse: spec %q expands to more than %d points", n.Name, MaxPlanPoints)
+		}
+		total *= c
+	}
+
+	grids, err := expandGrids(g)
+	if err != nil {
+		return nil, err
+	}
 	levels := make([]numLevels, len(dims))
 	for i, d := range dims {
 		if levels[i], err = expandNum(d.axis, d.name, n.Seed, samples); err != nil {
@@ -165,19 +181,6 @@ func Expand(spec *Spec) (*Plan, error) {
 		}
 	}
 	clock, life, d0, m3dY, m3dEmb, ciUse := levels[0], levels[1], levels[2], levels[3], levels[4], levels[5]
-
-	counts := []int{
-		len(n.Axes.System), len(n.Axes.Workload), len(grids),
-		clock.count(), life.count(), d0.count(), m3dY.count(), m3dEmb.count(), ciUse.count(),
-		replicas,
-	}
-	total := 1
-	for _, c := range counts {
-		if c == 0 {
-			return nil, fmt.Errorf("dse: empty axis in spec %q", n.Name)
-		}
-		total *= c
-	}
 
 	plan := &Plan{Spec: n, Hash: hash, UseGrid: useGrid, Points: make([]Point, 0, total)}
 	for i := 0; i < total; i++ {

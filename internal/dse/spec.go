@@ -129,6 +129,12 @@ type Objective struct {
 // distribution axes but no explicit sample count.
 const DefaultSamples = 100
 
+// MaxPlanPoints bounds the plan one spec may expand to, and with it the
+// replica count and every numeric axis's n. Expand multiplies the axis
+// counts against it before it draws a sample or allocates a point, so an
+// oversized spec is an error instead of a crash.
+const MaxPlanPoints = 1 << 20
+
 // ParseSpec decodes and validates a JSON sweep spec.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
@@ -181,6 +187,20 @@ func (a *NumericAxis) values() []float64 {
 	return nil
 }
 
+// levels is the axis's level count without expanding it: 1 for an
+// absent axis or a distribution (one draw per replica).
+func (a *NumericAxis) levels() int {
+	switch {
+	case a == nil, a.Dist != nil:
+		return 1
+	case a.Linspace != nil:
+		return a.Linspace.N
+	case a.Logspace != nil:
+		return a.Logspace.N
+	}
+	return len(a.Values)
+}
+
 func (r *Range) linspace() []float64 {
 	if r.N == 1 {
 		return []float64{r.Lo}
@@ -216,14 +236,14 @@ func (a *NumericAxis) validate(name string, check func(v float64) error) error {
 	}
 	if a.Linspace != nil {
 		forms++
-		if a.Linspace.N < 1 {
-			return fmt.Errorf("dse: axis %s: linspace needs n >= 1", name)
+		if a.Linspace.N < 1 || a.Linspace.N > MaxPlanPoints {
+			return fmt.Errorf("dse: axis %s: linspace needs 1 <= n <= %d (got %d)", name, MaxPlanPoints, a.Linspace.N)
 		}
 	}
 	if a.Logspace != nil {
 		forms++
-		if a.Logspace.N < 1 {
-			return fmt.Errorf("dse: axis %s: logspace needs n >= 1", name)
+		if a.Logspace.N < 1 || a.Logspace.N > MaxPlanPoints {
+			return fmt.Errorf("dse: axis %s: logspace needs 1 <= n <= %d (got %d)", name, MaxPlanPoints, a.Logspace.N)
 		}
 		if a.Logspace.Lo <= 0 || a.Logspace.Hi <= 0 {
 			return fmt.Errorf("dse: axis %s: logspace bounds must be positive", name)
@@ -261,6 +281,9 @@ func positive(what string) func(float64) error {
 func (s *Spec) Validate() error {
 	if s.Samples < 0 {
 		return errors.New("dse: samples must be non-negative")
+	}
+	if s.Samples > MaxPlanPoints {
+		return fmt.Errorf("dse: samples %d over the cap of %d", s.Samples, MaxPlanPoints)
 	}
 	for _, name := range s.Axes.System {
 		if _, err := core.SystemByName(name); err != nil {
@@ -344,7 +367,7 @@ func (s *Spec) Validate() error {
 // normalized returns a copy with every default made explicit: resolved
 // full system names, the default workload/grid/lifetime/objectives, and
 // the replica count. The normalized spec is what Hash covers, so a spec
-// and its fully spelled-out form resume each other's checkpoints.
+// and its fully spelled-out form land on the same sweep job.
 func (s *Spec) normalized() (*Spec, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -400,7 +423,7 @@ func (s *Spec) hasDistAxis() bool {
 }
 
 // Hash is the hex SHA-256 of the normalized spec's canonical JSON — the
-// identity checkpoints and sweep jobs are keyed by.
+// identity sweep jobs are keyed by.
 func (s *Spec) Hash() (string, error) {
 	n, err := s.normalized()
 	if err != nil {

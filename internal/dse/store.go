@@ -52,11 +52,13 @@ func planPointKey(plan *Plan, p Point) string {
 func SweepKey(id string) string { return "sweep|" + id }
 
 // StoredCompleted scans st for results of plan's points computed by any
-// earlier job and returns them keyed by plan index — the same shape as
-// Checkpoint.Completed, so the engine skips their evaluation. Adopted
-// results are re-stamped with this plan's index and replica (the only
-// job-relative fields). Store read errors skip the point rather than
-// failing the sweep: the store is an accelerator, not a dependency.
+// earlier job and returns them keyed by plan index — the shape of
+// Options.Completed, so the engine skips their evaluation. This is how
+// every sweep resumes: an interrupted run left its points in the store
+// under the same keys. Adopted results are re-stamped with this plan's
+// index and replica (the only job-relative fields). Store read errors
+// skip the point rather than failing the sweep: the store is an
+// accelerator, not a dependency.
 func StoredCompleted(st store.ResultStore, plan *Plan) map[int]Result {
 	if st == nil {
 		return nil

@@ -358,7 +358,7 @@ func (co *sweepCoord) acceptRange(lo, hi int, results []dse.Result) (bool, error
 		return false, co.failed
 	}
 	for _, r := range results {
-		// Checkpoint + persist before the point becomes visible anywhere,
+		// Persist before the point becomes visible anywhere,
 		// matching the single-node OnComplete-before-OnResult ordering.
 		if err := co.onFresh(r); err != nil {
 			co.failLocked(err)

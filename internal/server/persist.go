@@ -17,23 +17,16 @@ import (
 // a dependency — every store failure degrades to compute-on-miss and is
 // surfaced on /healthz rather than failing requests.
 
-// Store backends selectable by Config.StoreBackend / ppatcd -store-backend.
-const (
-	StoreBackendSegment = "segment"
-	StoreBackendCAS     = "cas"
-)
-
-// persistStatus is the /healthz persistence report: one line per
-// persistence surface, "ok", "disabled", or "degraded: <why>".
+// persistStatus is the /healthz persistence report: the result store is
+// "ok", "disabled", or "degraded: <why>".
 type persistStatus struct {
-	SweepDir string `json:"sweep_dir"`
-	Store    string `json:"store"`
+	Store string `json:"store"`
 }
 
 // openStore resolves Config.Store/StoreDir into the server's result
 // store. A failed open logs, marks /healthz degraded and leaves the
-// daemon serving compute-only — the same degrade-don't-die policy as
-// the sweep checkpoint directory.
+// daemon serving compute-only: losing persistence must not take the
+// daemon down.
 func (s *Server) openStore(cfg Config) {
 	switch {
 	case cfg.Store != nil:
@@ -44,15 +37,7 @@ func (s *Server) openStore(cfg Config) {
 		return
 	default:
 		var err error
-		switch cfg.StoreBackend {
-		case "", StoreBackendSegment:
-			s.store, err = store.OpenSegmentStore(cfg.StoreDir, cfg.StoreMaxSegmentBytes)
-		case StoreBackendCAS:
-			s.store, err = store.OpenCASStore(cfg.StoreDir)
-		default:
-			err = fmt.Errorf("unknown store backend %q (valid: %s, %s)",
-				cfg.StoreBackend, StoreBackendSegment, StoreBackendCAS)
-		}
+		s.store, err = store.OpenSegmentStore(cfg.StoreDir, 0)
 		if err != nil {
 			s.log.Error("result store unavailable; persistence disabled",
 				"dir", cfg.StoreDir, "error", err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -17,12 +18,6 @@ import (
 // smokeSweep is the smallest interesting sweep: both systems on the
 // cheapest kernel, 2 points.
 const smokeSweep = `{"name": "smoke", "axes": {"workload": ["huff"]}}`
-
-func sweepConfig(dir string) Config {
-	cfg := quietConfig()
-	cfg.SweepDir = dir
-	return cfg
-}
 
 func newSweepServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -57,7 +52,7 @@ func waitSweep(t *testing.T, ts *httptest.Server, id string) sweepStatus {
 // TestSweepLifecycle walks the whole async API: POST → poll → stream
 // NDJSON → analyses → metrics.
 func TestSweepLifecycle(t *testing.T) {
-	srv, ts := newSweepServer(t, sweepConfig(""))
+	srv, ts := newSweepServer(t, quietConfig())
 
 	resp, body := post(t, ts, "/v1/sweeps", smokeSweep)
 	if resp.StatusCode != http.StatusAccepted {
@@ -141,12 +136,13 @@ func TestSweepLifecycle(t *testing.T) {
 	}
 }
 
-// TestSweepRestartResume: a daemon restart (new Server, same checkpoint
-// dir) resumes a completed sweep from disk without re-evaluating.
+// TestSweepRestartResume: a daemon restart (new Server, same store dir)
+// resumes a sweep from the stored points without re-evaluating.
 func TestSweepRestartResume(t *testing.T) {
-	dir := t.TempDir()
+	cfg := quietConfig()
+	cfg.StoreDir = t.TempDir()
 
-	srv1 := New(sweepConfig(dir))
+	srv1 := New(cfg)
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, body := post(t, ts1, "/v1/sweeps", smokeSweep)
 	if resp.StatusCode != http.StatusAccepted {
@@ -163,8 +159,8 @@ func TestSweepRestartResume(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
-	// "Restart": a fresh server over the same checkpoint directory.
-	srv2, ts2 := newSweepServer(t, sweepConfig(dir))
+	// "Restart": a fresh server over the same store directory.
+	srv2, ts2 := newSweepServer(t, cfg)
 	resp, body = post(t, ts2, "/v1/sweeps", smokeSweep)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("re-POST after restart: %d %s", resp.StatusCode, body)
@@ -174,7 +170,7 @@ func TestSweepRestartResume(t *testing.T) {
 		t.Fatalf("resumed job: %+v", final)
 	}
 	if final.Resumed != 2 {
-		t.Errorf("resumed %d points from checkpoint, want 2", final.Resumed)
+		t.Errorf("resumed %d points from the store, want 2", final.Resumed)
 	}
 	if got := srv2.Metrics().SweepPoints.Load(); got != 0 {
 		t.Errorf("restarted daemon re-evaluated %d points, want 0", got)
@@ -189,7 +185,7 @@ func TestSweepCancelQueued(t *testing.T) {
 	// instead cancel in the queued window by stopping the runner pool —
 	// simplest deterministic route: a server whose base context is
 	// already cancelled leaves every job queued.
-	cfg := sweepConfig("")
+	cfg := quietConfig()
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv := New(cfg)
 	srv.cancel() // runners exit; jobs stay queued
@@ -222,7 +218,7 @@ func TestSweepCancelQueued(t *testing.T) {
 
 // TestSweepValidation: bad specs and unknown jobs map to 4xx.
 func TestSweepValidation(t *testing.T) {
-	_, ts := newSweepServer(t, sweepConfig(""))
+	_, ts := newSweepServer(t, quietConfig())
 	resp, _ := post(t, ts, "/v1/sweeps", `{"axes": {"system": ["vacuum-tube"]}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown system: %d, want 400", resp.StatusCode)
@@ -231,11 +227,34 @@ func TestSweepValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
-	cfg := sweepConfig("")
+	cfg := quietConfig()
 	cfg.SweepMaxPoints = 1
 	_, ts2 := newSweepServer(t, cfg)
 	resp, body := post(t, ts2, "/v1/sweeps", smokeSweep)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cap is 1") {
 		t.Errorf("oversized sweep: %d %s, want 400 with cap message", resp.StatusCode, body)
+	}
+}
+
+// TestSweepRejectsOversizedSpecs: specs that expand past dse.MaxPlanPoints
+// get a 400 from POST /v1/sweeps before anything large is allocated, and
+// the daemon keeps serving. Before the bound, the first panicked and the
+// second killed the process with an unrecoverable out-of-memory error.
+func TestSweepRejectsOversizedSpecs(t *testing.T) {
+	_, ts := newSweepServer(t, quietConfig())
+	for _, spec := range []string{
+		`{"axes": {"clock_mhz": {"linspace": {"lo": 100, "hi": 500, "n": 100000}},
+			"lifetime_months": {"linspace": {"lo": 1, "hi": 90, "n": 100000}},
+			"m3d_embodied_scale": {"linspace": {"lo": 0.5, "hi": 2, "n": 100000}},
+			"ci_use_scale": {"linspace": {"lo": 0.1, "hi": 2, "n": 100000}}}}`,
+		`{"samples": 200000000, "axes": {"lifetime_months": {"dist": {"kind": "uniform", "lo": 1, "hi": 90}}}}`,
+	} {
+		resp, body := post(t, ts, "/v1/sweeps", spec)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprint(dse.MaxPlanPoints)) {
+			t.Errorf("oversized spec: %d %s, want 400 naming the cap", resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, ts, "/v1/sweeps", smokeSweep); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("daemon stopped serving sweeps: %d %s", resp.StatusCode, body)
 	}
 }

@@ -16,16 +16,25 @@ import (
 // segment files (seg-00000001.ndjson, …) under one directory, with an
 // in-memory index mapping each live key to its newest on-disk record.
 //
-// Durability discipline follows dse.OpenCheckpoint: every Put flushes
-// its line, reopen tolerates a torn trailing line in the youngest
-// segment (a crash mid-append) by truncating it away, and a bad line
-// anywhere else reports corruption instead of guessing. The active
-// segment rotates once it exceeds MaxSegmentBytes; overwritten records
-// become dead bytes, and once they outweigh the live ones a compaction
-// rewrites the live set into fresh segments and deletes the old files.
-// Compacted copies land in strictly newer segments, so a crash at any
-// point of a compaction leaves a directory that reopens correctly
-// (newest record wins).
+// Durability discipline: every Put flushes its line before returning,
+// so a killed process loses at most the record it was writing. Reopen
+// recovers every state such a crash leaves:
+//
+//   - a zero-length youngest segment (crash between create and header
+//     flush) gets a fresh header;
+//   - a torn trailing line in the youngest segment (crash mid-append) is
+//     truncated away, so the next Put cannot weld onto its bytes;
+//   - an intact last record missing its newline (flush cut at the record
+//     boundary) is kept and newline-terminated before the next append.
+//
+// A bad line anywhere else reports corruption instead of guessing.
+//
+// The active segment rotates once it would exceed its size cap (the
+// OpenSegmentStore argument); overwritten records become dead bytes, and
+// once they outweigh the live ones a compaction rewrites the live set
+// into fresh segments and deletes the old files. Compacted copies land
+// in strictly newer segments, so a crash at any point of a compaction
+// leaves a directory that reopens correctly (newest record wins).
 type SegmentStore struct {
 	dir string
 	max int64
@@ -118,8 +127,7 @@ func (s *SegmentStore) segPath(id int) string {
 }
 
 // loadSegment indexes one existing segment. Only the youngest segment
-// (last=true) may carry a torn trailing line, which is truncated away —
-// the same crash-tolerance contract as dse.OpenCheckpoint.
+// (last=true) may carry a torn trailing line, which is truncated away.
 func (s *SegmentStore) loadSegment(id int, last bool) error {
 	path := s.segPath(id)
 	data, err := os.ReadFile(path)

@@ -12,7 +12,6 @@ import (
 var (
 	_ ResultStore = (*MemStore)(nil)
 	_ ResultStore = (*SegmentStore)(nil)
-	_ ResultStore = (*CASStore)(nil)
 )
 
 // openStores builds one of each implementation over t.TempDir.
@@ -22,14 +21,9 @@ func openStores(t *testing.T) map[string]ResultStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cas, err := OpenCASStore(filepath.Join(t.TempDir(), "cas"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stores := map[string]ResultStore{
 		"mem":     NewMemStore(),
 		"segment": seg,
-		"cas":     cas,
 	}
 	t.Cleanup(func() {
 		for _, s := range stores {
@@ -155,77 +149,132 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-func TestSegmentReopen(t *testing.T) {
-	dir := t.TempDir()
+// crashCase is one on-disk state a killed process can leave: the
+// records a store held before the crash, how the crash left the
+// (single) segment file, and the keys a reopen must recover.
+type crashCase struct {
+	name      string
+	keys      []string
+	crash     func(data []byte) []byte
+	recovered []string
+}
+
+// bodyOf is the record body fill writes under key.
+func bodyOf(key string) []byte { return []byte(`{"k":"` + key + `"}`) }
+
+// fill writes one record per key into a fresh store at dir and closes it.
+func fill(t *testing.T, dir string, keys []string) {
+	t.Helper()
 	st, err := OpenSegmentStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		if err := st.Put(Record{Key: fmt.Sprintf("k%02d", i), Kind: "point", Body: []byte(fmt.Sprintf(`{"i":%d}`, i))}); err != nil {
+	for _, k := range keys {
+		if err := st.Put(Record{Key: k, Kind: "point", Body: bodyOf(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	st2, err := OpenSegmentStore(dir, 0)
+// reopenExpect opens dir and checks it holds exactly the want keys, each
+// with the body fill wrote.
+func reopenExpect(t *testing.T, dir string, want []string) *SegmentStore {
+	t.Helper()
+	st, err := OpenSegmentStore(dir, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close()
-	if got := st2.Stats().Keys; got != 20 {
-		t.Fatalf("reopened keys = %d, want 20", got)
+	if got := st.Stats().Keys; got != len(want) {
+		t.Fatalf("reopened keys = %d, want %d", got, len(want))
 	}
-	rec, ok, err := st2.Get("k07")
-	if err != nil || !ok || string(rec.Body) != `{"i":7}` {
-		t.Fatalf("reopened get: %v %v %s", ok, err, rec.Body)
+	for _, k := range want {
+		rec, ok, err := st.Get(k)
+		if err != nil || !ok || !bytes.Equal(rec.Body, bodyOf(k)) {
+			t.Fatalf("reopened get %s: ok=%v err=%v body=%s", k, ok, err, rec.Body)
+		}
 	}
-	// The reopened store accepts appends.
-	if err := st2.Put(Record{Key: "k99", Body: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
+	return st
+}
+
+// runCrashCases applies each crash to a segment file, then checks the
+// recovery contract: the reopen keeps exactly the recovered keys, accepts
+// appends, and a second reopen finds every record intact — a torn tail
+// left in place would corrupt the file only at that second reopen.
+func runCrashCases(t *testing.T, cases []crashCase) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fill(t, dir, c.keys)
+			path := filepath.Join(dir, "seg-00000001.ndjson")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.crash(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st := reopenExpect(t, dir, c.recovered)
+			added := []string{"new-1", "new-2"}
+			for _, k := range added {
+				if err := st.Put(Record{Key: k, Body: bodyOf(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := reopenExpect(t, dir, append(append([]string(nil), c.recovered...), added...))
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
+func keep(data []byte) []byte { return data }
+
+func TestSegmentReopen(t *testing.T) {
+	var twenty []string
+	for i := 0; i < 20; i++ {
+		twenty = append(twenty, fmt.Sprintf("k%02d", i))
+	}
+	runCrashCases(t, []crashCase{
+		{name: "intact records", keys: twenty, crash: keep, recovered: twenty},
+		// A crash between file creation and the header flush: the empty
+		// file reinitializes instead of wedging every later open.
+		{name: "zero-length file", crash: func([]byte) []byte { return nil }},
+		// A crash right after the header: nothing to recover.
+		{name: "header only", crash: keep},
+	})
+}
+
 func TestSegmentTornTail(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenSegmentStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	// chop cuts the file's last record short by n bytes, leaving no
+	// trailing newline: a crash mid-append.
+	chop := func(n int) func([]byte) []byte {
+		return func(data []byte) []byte {
+			data = bytes.TrimRight(data, "\n")
+			return data[:len(data)-n]
+		}
 	}
-	st.Put(Record{Key: "a", Body: []byte(`{"v":1}`)})
-	st.Put(Record{Key: "b", Body: []byte(`{"v":2}`)})
-	st.Close()
-
-	// Simulate a crash mid-append: garbage without a trailing newline.
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson"))
-	if len(segs) != 1 {
-		t.Fatalf("segments: %v", segs)
-	}
-	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":"c","bo`)
-	f.Close()
-
-	st2, err := OpenSegmentStore(dir, 0)
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	defer st2.Close()
-	if got := st2.Stats().Keys; got != 2 {
-		t.Fatalf("keys = %d, want 2 (torn record dropped)", got)
-	}
-	// Appending after recovery must not weld onto torn bytes.
-	if err := st2.Put(Record{Key: "d", Body: []byte(`{"v":4}`)}); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, err := st2.Get("d")
-	if err != nil || !ok || string(rec.Body) != `{"v":4}` {
-		t.Fatalf("post-recovery get: %v %v %s", ok, err, rec.Body)
-	}
+	runCrashCases(t, []crashCase{
+		{name: "torn trailing record", keys: []string{"a", "b"},
+			crash:     func(data []byte) []byte { return append(data, `{"key":"c","bo`...) },
+			recovered: []string{"a", "b"}},
+		{name: "torn tail survives two reopens", keys: []string{"a", "b"},
+			crash: chop(8), recovered: []string{"a"}},
+		{name: "torn only data line", keys: []string{"a"},
+			crash: chop(10), recovered: nil},
+		// A flush cut exactly at a record boundary: the record is intact
+		// and kept, and the next append must not weld onto it.
+		{name: "unterminated last record", keys: []string{"a"},
+			crash:     func(data []byte) []byte { return bytes.TrimRight(data, "\n") },
+			recovered: []string{"a"}},
+	})
 }
 
 func TestSegmentMidFileCorruptionRejected(t *testing.T) {
@@ -239,7 +288,7 @@ func TestSegmentMidFileCorruptionRejected(t *testing.T) {
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson"))
 	f, _ := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString("not json\n")           // complete (newline-terminated) garbage line
+	f.WriteString("not json\n")                   // complete (newline-terminated) garbage line
 	f.WriteString(`{"key":"b","body":""}` + "\n") // followed by a valid record
 	f.Close()
 
@@ -295,90 +344,5 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	defer st2.Close()
 	if got := st2.Stats().Keys; got != 12 {
 		t.Fatalf("reopened keys = %d, want 12", got)
-	}
-}
-
-func TestCASDedup(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	body := []byte(`{"same":"result"}`)
-	for i := 0; i < 5; i++ {
-		if err := st.Put(Record{Key: fmt.Sprintf("point|job%d", i), Kind: "point", Body: body}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := st.Stats()
-	if stats.Keys != 5 || stats.Segments != 1 {
-		t.Fatalf("keys=%d objects=%d, want 5 keys sharing 1 object", stats.Keys, stats.Segments)
-	}
-	if stats.Dedups != 4 {
-		t.Errorf("dedups = %d, want 4", stats.Dedups)
-	}
-	// Exactly one object file exists.
-	count := 0
-	filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			count++
-		}
-		return nil
-	})
-	if count != 1 {
-		t.Errorf("object files = %d, want 1", count)
-	}
-}
-
-func TestCASReopenAndTornIndex(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(Record{Key: "a", Kind: "point", Body: []byte(`{"v":1}`)})
-	st.Put(Record{Key: "b", Kind: "point", Body: []byte(`{"v":2}`)})
-	st.Close()
-
-	// Torn index tail from a crash mid-append.
-	f, _ := os.OpenFile(filepath.Join(dir, "index.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"key":"c","sha2`)
-	f.Close()
-
-	st2, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatalf("torn index not tolerated: %v", err)
-	}
-	defer st2.Close()
-	if got := st2.Stats().Keys; got != 2 {
-		t.Fatalf("keys = %d, want 2", got)
-	}
-	rec, ok, err := st2.Get("b")
-	if err != nil || !ok || string(rec.Body) != `{"v":2}` {
-		t.Fatalf("reopened get: %v %v %s", ok, err, rec.Body)
-	}
-	// Appends still work after recovery.
-	if err := st2.Put(Record{Key: "c", Body: []byte(`{"v":3}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := st2.Get("c"); !ok {
-		t.Error("post-recovery record missing")
-	}
-}
-
-func TestCASNoTempLeftovers(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; i < 10; i++ {
-		st.Put(Record{Key: fmt.Sprintf("k%d", i), Body: []byte(fmt.Sprintf(`{"i":%d}`, i))})
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "objects", "*", "*.tmp"))
-	if len(matches) != 0 {
-		t.Errorf("temp files left behind: %v", matches)
 	}
 }
