@@ -116,7 +116,6 @@ func run(args []string) error {
 	queue := fs.Int("queue", 64, "request queue depth before 503s")
 	cache := fs.Int("cache", 512, "LRU result-cache entries")
 	cacheShards := fs.Int("cache-shards", 16, "result-cache lock stripes (rounded up to a power of two)")
-	batchChunk := fs.Int("batch-chunk", 0, "bulk-batch chunk size: cold batches fan out in sub-units of this many items (0 = 16)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-request evaluation timeout")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown drain window for in-flight requests")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -150,7 +149,6 @@ func run(args []string) error {
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		CacheShards:    *cacheShards,
-		BatchChunk:     *batchChunk,
 		RequestTimeout: *timeout,
 		Logger:         logger,
 		EnablePprof:    *pprofOn,

@@ -13,15 +13,17 @@ import (
 // gitChangedFiles lists the paths git reports as changed relative to
 // base (committed, staged, and working-tree edits alike), as
 // repo-root-relative slash paths — the same shape diagnostics use.
+// Deleted files are left out: a package removed since base has nothing
+// left to load.
 func gitChangedFiles(dir, base string) ([]string, error) {
-	cmd := exec.Command("git", "diff", "--name-only", base, "--")
+	cmd := exec.Command("git", "diff", "--name-only", "--diff-filter=d", base, "--")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("git diff --name-only %s: %s", base, strings.TrimSpace(string(ee.Stderr)))
+			return nil, fmt.Errorf("git diff --name-only --diff-filter=d %s: %s", base, strings.TrimSpace(string(ee.Stderr)))
 		}
-		return nil, fmt.Errorf("git diff --name-only %s: %v", base, err)
+		return nil, fmt.Errorf("git diff --name-only --diff-filter=d %s: %v", base, err)
 	}
 	var files []string
 	for _, line := range strings.Split(string(out), "\n") {

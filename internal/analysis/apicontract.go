@@ -21,7 +21,7 @@ import (
 // the shared JSON error writer, never http.Error's text/plain.
 //
 // Schema parity: structs marked //ppatc:schema serialize to committed
-// or dumped artifacts (flight NDJSON events, BENCH_*.json reports);
+// or dumped artifacts (flight NDJSON events);
 // every json tag they carry must be documented in DATA_SCHEMA.md, so
 // adding a field without documenting it is a vet finding, not a silent
 // drift.

@@ -540,14 +540,6 @@ func TestExpandRejectsOversizedSpecs(t *testing.T) {
 	}
 }
 
-// TestMaxPoints bounds job size.
-func TestMaxPoints(t *testing.T) {
-	_, err := Run(context.Background(), testSpec(), Options{MaxPoints: 4})
-	if err == nil || !strings.Contains(err.Error(), "cap is 4") {
-		t.Fatalf("got %v, want point-cap rejection", err)
-	}
-}
-
 // TestInfeasibleClock: an absurd clock fails timing closure and comes
 // back as an infeasible datum, not an error.
 func TestInfeasibleClock(t *testing.T) {

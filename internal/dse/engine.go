@@ -32,9 +32,6 @@ type Options struct {
 	// EvalCounter, when set, is incremented once per freshly evaluated
 	// and recorded point (points from Completed don't count).
 	EvalCounter *obs.Counter
-	// MaxPoints rejects plans larger than this many points (<=0 = no
-	// cap). Servers use it to bound job size.
-	MaxPoints int
 	// NoMemo disables stage memoization: every freshly evaluated tuple
 	// re-runs all five pipeline stages. Results are identical either
 	// way — the memo only skips recomputing pure stage outputs — so this
@@ -78,9 +75,6 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	}
 	points := plan.Points[lo:hi]
 	total := len(points)
-	if opts.MaxPoints > 0 && total > opts.MaxPoints {
-		return nil, fmt.Errorf("dse: plan has %d points, cap is %d", total, opts.MaxPoints)
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -112,6 +112,67 @@ func pointSeed(seed int64, index int) uint64 {
 	return z ^ (z >> 31)
 }
 
+// numDim is one numeric axis of the cross product, by its JSON name.
+type numDim struct {
+	name string
+	axis *NumericAxis
+}
+
+// numDims lists a normalized spec's numeric axes in crossing order.
+func numDims(n *Spec) []numDim {
+	return []numDim{
+		{"clock_mhz", n.Axes.ClockMHz},
+		{"lifetime_months", n.Axes.LifetimeMonths},
+		{"yield_d0", n.Axes.YieldD0},
+		{"m3d_yield", n.Axes.M3DYield},
+		{"m3d_embodied_scale", n.Axes.M3DEmbodiedScale},
+		{"ci_use_scale", n.Axes.CIUseScale},
+	}
+}
+
+// planCounts sizes a normalized spec's plan from the spec alone, before
+// any grid, sample or point is allocated: the level count of each
+// dimension in crossing order (replicas last) and their product, checked
+// against MaxPlanPoints one factor at a time so it cannot overflow.
+func planCounts(n *Spec) (counts []int, total int, err error) {
+	replicas := 1
+	if n.Samples > 0 {
+		replicas = n.Samples
+	}
+	g := n.Axes.Grid
+	counts = []int{len(n.Axes.System), len(n.Axes.Workload), len(g.Names) + len(g.Custom)}
+	if g.Intensity != nil {
+		counts[2] += g.Intensity.levels()
+	}
+	for _, d := range numDims(n) {
+		counts = append(counts, d.axis.levels())
+	}
+	counts = append(counts, replicas)
+	total = 1
+	for _, c := range counts {
+		if c == 0 {
+			return nil, 0, fmt.Errorf("dse: empty axis in spec %q", n.Name)
+		}
+		if c > MaxPlanPoints/total {
+			return nil, 0, fmt.Errorf("dse: spec %q expands to more than %d points", n.Name, MaxPlanPoints)
+		}
+		total *= c
+	}
+	return counts, total, nil
+}
+
+// PlanSize validates the spec and returns the number of points Expand
+// would produce, without allocating the plan. A caller with a tighter
+// bound than MaxPlanPoints checks it here, before expanding.
+func PlanSize(spec *Spec) (int, error) {
+	n, err := spec.normalized()
+	if err != nil {
+		return 0, err
+	}
+	_, total, err := planCounts(n)
+	return total, err
+}
+
 // Expand validates and normalizes the spec and expands it into the full
 // evaluation plan. Axes are crossed in declaration order — system,
 // workload, grid, clock, lifetime, yield D0, M3D yield, M3D embodied
@@ -129,54 +190,19 @@ func Expand(spec *Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	samples := n.Samples
-	replicas := 1
-	if samples > 0 {
-		replicas = samples
-	}
-	type numDim struct {
-		name string
-		axis *NumericAxis
-	}
-	dims := []numDim{
-		{"clock_mhz", n.Axes.ClockMHz},
-		{"lifetime_months", n.Axes.LifetimeMonths},
-		{"yield_d0", n.Axes.YieldD0},
-		{"m3d_yield", n.Axes.M3DYield},
-		{"m3d_embodied_scale", n.Axes.M3DEmbodiedScale},
-		{"ci_use_scale", n.Axes.CIUseScale},
-	}
-
-	// Size the plan from the spec alone, before any grid, sample or
-	// point is allocated.
-	g := n.Axes.Grid
-	counts := []int{len(n.Axes.System), len(n.Axes.Workload), len(g.Names) + len(g.Custom)}
-	if g.Intensity != nil {
-		counts[2] += g.Intensity.levels()
-	}
-	for _, d := range dims {
-		counts = append(counts, d.axis.levels())
-	}
-	counts = append(counts, replicas)
-	total := 1
-	for _, c := range counts {
-		if c == 0 {
-			return nil, fmt.Errorf("dse: empty axis in spec %q", n.Name)
-		}
-		if c > MaxPlanPoints/total {
-			return nil, fmt.Errorf("dse: spec %q expands to more than %d points", n.Name, MaxPlanPoints)
-		}
-		total *= c
-	}
-
-	grids, err := expandGrids(g)
+	counts, total, err := planCounts(n)
 	if err != nil {
 		return nil, err
 	}
+
+	grids, err := expandGrids(n.Axes.Grid)
+	if err != nil {
+		return nil, err
+	}
+	dims := numDims(n)
 	levels := make([]numLevels, len(dims))
 	for i, d := range dims {
-		if levels[i], err = expandNum(d.axis, d.name, n.Seed, samples); err != nil {
+		if levels[i], err = expandNum(d.axis, d.name, n.Seed, n.Samples); err != nil {
 			return nil, err
 		}
 	}

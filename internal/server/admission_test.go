@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ppatc/internal/embench"
 	"ppatc/internal/obs/flight"
 )
 
@@ -187,5 +188,79 @@ func TestAdmissionClassInFlightDump(t *testing.T) {
 	}
 	if n := srv.Metrics().QueueWaitCount("interactive"); n < 3 {
 		t.Errorf("interactive queue-wait observations %d, want >= 3", n)
+	}
+}
+
+// TestInteractiveMissOvertakesColdBatch is the admission contract over a
+// live server: while a cold bulk batch saturates a two-worker pool, one
+// /v1/evaluate miss on a grid the batch never touches is admitted as
+// interactive, waits in the queue for less than one item's compute time,
+// and answers long before the batch would finish.
+func TestInteractiveMissOvertakesColdBatch(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Workers = 2
+	srv, ts := newSweepServer(t, cfg)
+
+	// 2 systems × 8 workloads × 3 grids: 48 distinct cold tuples, three
+	// chunks of bulk work run one item at a time by the unreserved worker.
+	var items []string
+	for _, grid := range []string{"US", "Coal", "Solar"} {
+		for _, wl := range embench.Workloads() {
+			for _, sys := range []string{"si", "m3d"} {
+				items = append(items, fmt.Sprintf(`{"system":%q,"workload":%q,"grid":%q}`, sys, wl.Name, grid))
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/batch",
+		strings.NewReader(`{"items":[`+strings.Join(items, ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchDone := make(chan struct{})
+	go func() {
+		defer close(batchDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	// Saturated: one bulk item runs and the next one waits in the queue.
+	for i := 0; srv.pool.QueueDepthClass(ClassBulk) < 1; i++ {
+		if i == 5000 {
+			t.Fatal("the cold batch never queued bulk work")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, body := post(t, ts, "/v1/evaluate", `{"system":"si","workload":"crc32","grid":"Taiwan"}`)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("evaluate: %d %s %s, want 200 MISS", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	select {
+	case <-batchDone:
+		t.Fatal("the batch finished before the interactive evaluate; nothing was overtaken")
+	default:
+	}
+	cancel()
+	<-batchDone
+
+	_, body = get(t, ts, "/debug/flight")
+	var ev flight.Event
+	for _, e := range decodeFlightDump(t, body) {
+		if e.Endpoint == "evaluate" {
+			ev = e
+		}
+	}
+	if ev.Endpoint == "" {
+		t.Fatalf("no evaluate event in the flight dump:\n%s", body)
+	}
+	if ev.AdmissionClass != "interactive" {
+		t.Errorf("evaluate admission_class %q, want interactive", ev.AdmissionClass)
+	}
+	// The evaluate's own compute is one batch item's worth of pipeline
+	// (crc32 on si is in the batch, on other grids).
+	if ev.QueueWaitNS >= ev.ComputeNS {
+		t.Errorf("evaluate waited %d ns in the queue, not below one item's compute time (%d ns)", ev.QueueWaitNS, ev.ComputeNS)
 	}
 }

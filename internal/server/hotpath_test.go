@@ -240,8 +240,7 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateCacheHit is the repeatable hot-path measurement
-// behind BENCH_4.json:
+// BenchmarkEvaluateCacheHit is the repeatable hot-path measurement:
 //
 //	go test ./internal/server/ -run xxx -bench EvaluateCacheHit -benchmem
 func BenchmarkEvaluateCacheHit(b *testing.B) {

@@ -18,9 +18,7 @@ var ErrPoolClosed = errors.New("server: worker pool closed")
 // Class is a job's admission class. Interactive jobs (single
 // evaluations, likely-cached work) are always picked before bulk jobs
 // (cold batch fan-outs), so a 256-tuple cold batch can never put tens
-// of milliseconds of queue ahead of a 100µs request — the head-of-line
-// blocking BENCH_4 measured as a 141 ms batch-era p99 against a
-// 0.43 ms p95.
+// of milliseconds of queue ahead of a 100µs request.
 type Class int
 
 const (

@@ -40,11 +40,6 @@ type Config struct {
 	// a cold batch filling the bulk queue cannot starve (or reject)
 	// single evaluations.
 	QueueDepth int
-	// BatchChunk bounds one sub-unit of a cold /v1/batch fan-out: a
-	// bulk batch's misses are split into chunks of this many items that
-	// run sequentially, so one batch occupies at most misses/chunk pool
-	// slots at a time and concurrent batches interleave (default 16).
-	BatchChunk int
 	// CacheEntries bounds the LRU result cache (default 512).
 	CacheEntries int
 	// CacheShards stripes the result cache across this many mutex-guarded
@@ -108,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchChunk <= 0 {
-		c.BatchChunk = 16
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 512

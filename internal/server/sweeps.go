@@ -175,7 +175,6 @@ func (s *Server) runSweep(j *sweepJob) {
 	start := time.Now()
 	opts := dse.Options{
 		Workers:     s.cfg.Workers,
-		MaxPoints:   s.cfg.SweepMaxPoints,
 		EvalCounter: s.metrics.SweepPoints,
 		OnResult: func(r dse.Result) error {
 			j.commit(r)
@@ -284,14 +283,21 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	plan, err := dse.Expand(spec)
+	// Size the spec before expanding it: a small body can name a plan of
+	// up to dse.MaxPlanPoints points, far past this server's cap.
+	size, err := dse.PlanSize(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(plan.Points) > s.cfg.SweepMaxPoints {
+	if size > s.cfg.SweepMaxPoints {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep has %d points, cap is %d", len(plan.Points), s.cfg.SweepMaxPoints))
+			fmt.Errorf("sweep has %d points, cap is %d", size, s.cfg.SweepMaxPoints))
+		return
+	}
+	plan, err := dse.Expand(spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	j := &sweepJob{

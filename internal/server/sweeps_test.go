@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -253,6 +254,30 @@ func TestSweepRejectsOversizedSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprint(dse.MaxPlanPoints)) {
 			t.Errorf("oversized spec: %d %s, want 400 naming the cap", resp.StatusCode, body)
 		}
+	}
+	if resp, body := post(t, ts, "/v1/sweeps", smokeSweep); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("daemon stopped serving sweeps: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestSweepSizedBeforeExpand pins the order of the server's checks: a
+// spec within dse.MaxPlanPoints but over SweepMaxPoints is rejected from
+// its size alone. This 2^20-point spec used to be expanded in full
+// (about 250 MB allocated) before the cap turned it away.
+func TestSweepSizedBeforeExpand(t *testing.T) {
+	_, ts := newSweepServer(t, quietConfig())
+	const spec = `{"samples": 524288, "axes": {"system": ["si", "m3d"],
+		"lifetime_months": {"dist": {"kind": "uniform", "lo": 1, "hi": 90}},
+		"ci_use_scale": {"dist": {"kind": "uniform", "lo": 0.5, "hi": 2}}}}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := post(t, ts, "/v1/sweeps", spec)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cap is 100000") {
+		t.Errorf("oversized spec: %d %s, want 400 naming the 100000 cap", resp.StatusCode, body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("rejecting the spec allocated %d bytes", alloc)
 	}
 	if resp, body := post(t, ts, "/v1/sweeps", smokeSweep); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("daemon stopped serving sweeps: %d %s", resp.StatusCode, body)
