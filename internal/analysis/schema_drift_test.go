@@ -45,7 +45,7 @@ func TestDocumentedSchemaTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seq", "compute_ns", "queue_wait_ns", "admission_class", "total_ns", "slow"} {
+	for _, want := range []string{"seq", "compute_ns", "queue_wait_ns", "pool_depth", "total_ns", "slow"} {
 		if !tags[want] {
 			t.Errorf("documented tag %q not extracted from DATA_SCHEMA.md", want)
 		}

@@ -235,6 +235,38 @@ func TestUsagePatternValidate(t *testing.T) {
 	}
 }
 
+// TestLongLifetimeRejected pins the on-time bound: Operational converts
+// on-hours to a time.Duration, which wraps negative past about 292
+// years of on-time (~42,000 months at 2 h/day). Such a lifetime must be
+// a validation error, never a negative carbon total.
+func TestLongLifetimeRejected(t *testing.T) {
+	p := units.Milliwatts(9.71)
+	for _, months := range []units.Months{1e6, 1e300, units.Months(math.Inf(1)), units.Months(math.NaN())} {
+		u := UsagePattern{StartHour: 20, HoursPerDay: 2, Lifetime: months}
+		if err := u.Validate(); err == nil {
+			t.Errorf("%g months: Validate accepted an on-time that overflows time.Duration", float64(months))
+		}
+		if c, err := Operational(p, u, Flat(GridUS)); err == nil {
+			t.Errorf("%g months: Operational = %v, want an error", float64(months), c)
+		}
+	}
+	// Just inside the bound the closed form is still exact and positive.
+	u := UsagePattern{StartHour: 20, HoursPerDay: 2, Lifetime: 42000}
+	c, err := Operational(p, u, Flat(GridUS))
+	if err != nil {
+		t.Fatalf("42000 months: %v", err)
+	}
+	want := 9.71e-3 * u.OnHours() * 380 / 1000
+	if got := c.Grams(); got <= 0 || !almostEqual(got, want, 1e-9) {
+		t.Errorf("42000 months: C_operational = %v g, want %v", got, want)
+	}
+	// Standby converts the (longer) off-time the same way.
+	u.Lifetime = 10000
+	if c, err := OperationalWithStandby(p, units.Milliwatts(1), u, Flat(GridUS)); err == nil {
+		t.Errorf("10000 months of standby: %v, want an error", c)
+	}
+}
+
 func TestOperationalPowerEq6(t *testing.T) {
 	// Table II at 500 MHz: (1.42 + 18.0) pJ / 2 ns = 9.71 mW with no static.
 	p := OperationalPower(0, units.Picojoules(1.42), units.Picojoules(18.0), units.Megahertz(500))

@@ -2,6 +2,8 @@ package carbon
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"time"
 
 	"ppatc/internal/units"
@@ -33,8 +35,18 @@ func (u UsagePattern) Validate() error {
 		return errors.New("carbon: start hour must be in [0, 24)")
 	case u.Lifetime <= 0:
 		return errors.New("carbon: lifetime must be positive")
+	case !fitsDuration(u.OnHours()):
+		return fmt.Errorf("carbon: lifetime of %g months at %g h/day exceeds the %.0f on-hours a time.Duration holds",
+			float64(u.Lifetime), u.HoursPerDay, time.Duration(math.MaxInt64).Hours())
 	}
 	return nil
+}
+
+// fitsDuration reports whether a span of hours converts to a
+// time.Duration without wrapping negative (the limit is about 292
+// years). Operational and OperationalWithStandby make that conversion.
+func fitsDuration(hours float64) bool {
+	return hours*float64(time.Hour) < math.MaxInt64
 }
 
 // DutyCycle reports the fraction of wall-clock time the system is on

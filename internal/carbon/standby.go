@@ -2,6 +2,7 @@ package carbon
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"ppatc/internal/units"
@@ -39,6 +40,9 @@ func OperationalWithStandby(active, standby units.Power, u UsagePattern, profile
 	// start, so the standby CI average covers the right hours of day.
 	ciOff := MeanWindow(profile, u.EndHour(), u.StartHour+24)
 	offHours := u.Lifetime.Hours() * offHoursPerDay / units.HoursPerDay
+	if !fitsDuration(offHours) {
+		return 0, fmt.Errorf("carbon: lifetime of %g months leaves more standby hours than a time.Duration holds", float64(u.Lifetime))
+	}
 	offEnergy := standby.Times(time.Duration(offHours * float64(time.Hour)))
 	return onCarbon + ciOff.Apply(offEnergy), nil
 }

@@ -36,8 +36,15 @@ import (
 // SystemDesigns beyond the Clock override must not share a Memo across
 // them.
 //
-// A Memo is safe for concurrent use and unbounded: it is meant to live
-// for one sweep (a few designs × workloads × clocks), not forever.
+// A Memo is safe for concurrent use and never evicts: each stage holds
+// one entry per distinct key it has seen. It stays small when its
+// inputs come from a fixed set. A sweep's per-run memo sees a few
+// designs × workloads × clocks × fab-grid intensities. The daemon keeps
+// one memo for its whole life and only evaluates the bundled designs at
+// their default clock, bundled workloads and bundled grids, so it holds
+// at most 8 embench, 2 edram, 2 synth, 2 floorplan and 8 carbon entries.
+// Never feed a long-lived memo custom clocks or grid intensities: each
+// new value adds an entry that is never freed.
 type Memo struct {
 	entries [numMemoStages]sync.Map // stage key -> *memoEntry
 	hits    [numMemoStages]atomic.Int64

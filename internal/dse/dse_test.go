@@ -558,3 +558,37 @@ func TestInfeasibleClock(t *testing.T) {
 		t.Fatalf("1 THz point came back feasible: %+v", results[0])
 	}
 }
+
+// TestOverlongLifetimeInfeasible: a lifetime whose on-hours overflow a
+// time.Duration used to come back feasible with a negative total carbon
+// (1e6 months gave tc_g -7183.9) and win the Pareto frontier. It must be
+// an infeasible datum naming the lifetime, and never reach the frontier.
+func TestOverlongLifetimeInfeasible(t *testing.T) {
+	spec := &Spec{
+		Axes: Axes{
+			System:         []string{"si"},
+			Workload:       []string{"huff"},
+			LifetimeMonths: &NumericAxis{Values: []float64{24, 1e6}},
+		},
+	}
+	results, err := Run(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	if r := results[0]; !r.Feasible || r.TCG <= 0 {
+		t.Fatalf("24-month point: feasible %v tc_g %g, want a positive feasible datum", r.Feasible, r.TCG)
+	}
+	if r := results[1]; r.Feasible || !strings.Contains(r.Error, "lifetime") || r.TCG != 0 {
+		t.Fatalf("1e6-month point: feasible %v tc_g %g error %q, want infeasible with a lifetime error", r.Feasible, r.TCG, r.Error)
+	}
+	front, err := Frontier(results, []Objective{{Metric: "tc_g"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) != 1 || front[0].LifetimeMonths != 24 {
+		t.Fatalf("frontier %+v, want only the 24-month point", front)
+	}
+}

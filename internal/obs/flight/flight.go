@@ -46,10 +46,6 @@ type Event struct {
 	Status      int    `json:"status"`
 	// BatchSize is the item count of a /v1/batch request (0 otherwise).
 	BatchSize int `json:"batch_size,omitempty"`
-	// AdmissionClass is the worker-pool class the request's computation
-	// was admitted under ("interactive" or "bulk"; empty for requests
-	// that never reached the pool).
-	AdmissionClass string `json:"admission_class,omitempty"`
 	// PoolDepth is the worker-pool queue depth at admission — the
 	// head-of-line pressure this request walked into.
 	PoolDepth int64 `json:"pool_depth"`
@@ -131,11 +127,6 @@ type Breakdown struct {
 	PeerForwardNS int64
 	EncodeNS      int64
 	StoreWriteNS  int64
-	// OtherNS is wall time a computation measured but could not ascribe
-	// to a named stage (e.g. a batch fan-out whose items recorded no
-	// stage time at clock resolution). It folds into the event's
-	// explicit "other" stage, keeping the partition invariant.
-	OtherNS int64
 	// Remote marks a computation satisfied by forwarding to the key's
 	// owning cluster peer instead of evaluating locally; the caller
 	// reports disposition REMOTE instead of MISS.
@@ -153,9 +144,6 @@ type Attribution struct {
 	Disposition string
 	BatchSize   int
 	PoolDepth   int64
-	// Class is the admission class the request's computation ran under
-	// ("interactive" or "bulk"; empty when it never reached the pool).
-	Class string
 
 	QueueWaitNS   int64
 	CacheLookupNS int64
@@ -163,9 +151,6 @@ type Attribution struct {
 	PeerForwardNS int64
 	EncodeNS      int64
 	StoreWriteNS  int64
-	// OtherNS accumulates explicitly-unattributable measured time; Finish
-	// adds the end-to-end residual on top of it.
-	OtherNS int64
 }
 
 // DispositionOrNone returns the disposition, or "NONE" when unset
@@ -189,7 +174,6 @@ func (a *Attribution) AddBreakdown(b Breakdown) {
 	a.PeerForwardNS += b.PeerForwardNS
 	a.EncodeNS += b.EncodeNS
 	a.StoreWriteNS += b.StoreWriteNS
-	a.OtherNS += b.OtherNS
 }
 
 // Finish seals the attribution into an Event: the unattributed
@@ -201,34 +185,32 @@ func (a *Attribution) AddBreakdown(b Breakdown) {
 func (a *Attribution) Finish(start time.Time, total time.Duration, status int) Event {
 	totalNS := total.Nanoseconds()
 	attributed := a.QueueWaitNS + a.CacheLookupNS + a.ComputeNS + a.PeerForwardNS +
-		a.EncodeNS + a.StoreWriteNS + a.OtherNS
-	residual := totalNS - attributed
-	if residual < 0 {
+		a.EncodeNS + a.StoreWriteNS
+	other := totalNS - attributed
+	if other < 0 {
 		// Stage clocks read inside the computation can overshoot the
 		// outer clock by scheduling wobble; never report negative time.
-		residual = 0
+		other = 0
 	}
-	other := a.OtherNS + residual
 	disp := a.Disposition
 	if disp == "" {
 		disp = "NONE"
 	}
 	return Event{
-		StartUnixNano:  start.UnixNano(),
-		Endpoint:       a.Endpoint,
-		RequestID:      a.RequestID,
-		Disposition:    disp,
-		Status:         status,
-		BatchSize:      a.BatchSize,
-		AdmissionClass: a.Class,
-		PoolDepth:      a.PoolDepth,
-		QueueWaitNS:    a.QueueWaitNS,
-		CacheLookupNS:  a.CacheLookupNS,
-		ComputeNS:      a.ComputeNS,
-		PeerForwardNS:  a.PeerForwardNS,
-		EncodeNS:       a.EncodeNS,
-		StoreWriteNS:   a.StoreWriteNS,
-		OtherNS:        other,
-		TotalNS:        totalNS,
+		StartUnixNano: start.UnixNano(),
+		Endpoint:      a.Endpoint,
+		RequestID:     a.RequestID,
+		Disposition:   disp,
+		Status:        status,
+		BatchSize:     a.BatchSize,
+		PoolDepth:     a.PoolDepth,
+		QueueWaitNS:   a.QueueWaitNS,
+		CacheLookupNS: a.CacheLookupNS,
+		ComputeNS:     a.ComputeNS,
+		PeerForwardNS: a.PeerForwardNS,
+		EncodeNS:      a.EncodeNS,
+		StoreWriteNS:  a.StoreWriteNS,
+		OtherNS:       other,
+		TotalNS:       totalNS,
 	}
 }

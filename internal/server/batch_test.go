@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestBatchMixedHitMissInvalid(t *testing.T) {
@@ -151,31 +150,4 @@ func TestBatchCancelledContext(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("cancelled batch: %d %s, want 503", w.Code, w.Body.String())
 	}
-}
-
-// TestAcquireSlotCancellation pins the fan-out back-pressure contract:
-// a chunk goroutine waiting for a semaphore slot must give up the
-// moment the request context dies instead of blocking behind a
-// saturated fan-out.
-func TestAcquireSlotCancellation(t *testing.T) {
-	sem := make(chan struct{}, 1)
-	if !acquireSlot(context.Background(), sem) {
-		t.Fatal("acquireSlot failed with a free slot and a live context")
-	}
-
-	// The slot is now held: a dead context must bail out promptly, not
-	// block until the holder releases.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got := make(chan bool, 1)
-	go func() { got <- acquireSlot(ctx, sem) }()
-	select {
-	case ok := <-got:
-		if ok {
-			t.Fatal("acquireSlot took a slot from a full semaphore")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("acquireSlot blocked on a full semaphore with a cancelled context")
-	}
-	<-sem
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,12 +135,12 @@ func TestFlightDumpRingSelection(t *testing.T) {
 	}
 }
 
-// TestSlowBatchAttributesQueueWait pins the acceptance scenario: on a
-// one-worker server, a cold batch serializes behind the pool, so the
-// batch's flight event must attribute the majority of its latency to
-// queue_wait — the head-of-line-blocking signal ROADMAP item 2 is
-// waiting for. The slow threshold is lowered so the event also lands in
-// the slow ring.
+// TestSlowBatchAttributesQueueWait pins head-of-line attribution: on a
+// one-worker server whose worker is busy, a cold batch's wait for the
+// worker must land in queue_wait. The batch's stages are replayed from
+// the daemon memo (a warm-up batch on another grid ran them), so the
+// wait is the majority of its latency. The slow threshold is lowered so
+// the event also lands in the slow ring.
 func TestSlowBatchAttributesQueueWait(t *testing.T) {
 	cfg := quietConfig()
 	cfg.Workers = 1
@@ -151,19 +152,56 @@ func TestSlowBatchAttributesQueueWait(t *testing.T) {
 		srv.Close()
 	}()
 
-	// A cold batch of distinct tuples: every item is a miss, and with one
-	// worker each one queues behind the previous item's computation.
-	items := make([]string, 0, 8)
-	for _, wl := range []string{"crc32", "edn", "sieve", "strsearch"} {
-		items = append(items, fmt.Sprintf(`{"system":"si","workload":%q}`, wl))
-		items = append(items, fmt.Sprintf(`{"system":"m3d","workload":%q}`, wl))
+	batchOn := func(grid string) string {
+		items := make([]string, 0, 8)
+		for _, wl := range []string{"crc32", "edn", "sieve", "strsearch"} {
+			items = append(items, fmt.Sprintf(`{"system":"si","workload":%q,"grid":%q}`, wl, grid))
+			items = append(items, fmt.Sprintf(`{"system":"m3d","workload":%q,"grid":%q}`, wl, grid))
+		}
+		return `{"items":[` + strings.Join(items, ",") + `]}`
 	}
-	body := `{"items":[` + strings.Join(items, ",") + `]}`
-	resp, b := post(t, ts, "/v1/batch", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, b)
+	if resp, b := post(t, ts, "/v1/batch", batchOn("Coal")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up batch status %d: %s", resp.StatusCode, b)
 	}
-	if got := resp.Header.Get("X-Cache"); got != "MISS" {
+
+	// Hold the only worker, queue the cold US batch behind it, and let
+	// it wait well past its own compute time.
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	go srv.pool.Do(context.Background(), func() { close(blocked); <-release })
+	<-blocked
+	type result struct {
+		resp *http.Response
+		body []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(batchOn("US")))
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		done <- result{resp, b, err}
+	}()
+	for i := 0; srv.pool.QueueDepth() < 1; i++ {
+		if i == 5000 {
+			t.Fatal("the cold batch never queued behind the busy worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("batch: %v", res.err)
+	}
+	if res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", res.resp.StatusCode, res.body)
+	}
+	if got := res.resp.Header.Get("X-Cache"); got != "MISS" {
 		t.Fatalf("cold batch X-Cache %q, want MISS", got)
 	}
 
@@ -175,8 +213,7 @@ func TestSlowBatchAttributesQueueWait(t *testing.T) {
 	var batch *flight.Event
 	for i := range evs {
 		if evs[i].Endpoint == "batch" {
-			batch = &evs[i]
-			break
+			batch = &evs[i] // the last one is the queued US batch
 		}
 	}
 	if batch == nil {
@@ -189,7 +226,7 @@ func TestSlowBatchAttributesQueueWait(t *testing.T) {
 		t.Fatalf("batch stage cross-check: %v", err)
 	}
 	if frac := float64(batch.QueueWaitNS) / float64(batch.TotalNS); frac < 0.5 {
-		t.Fatalf("cold batch on 1 worker attributed %.0f%% to queue_wait, want >= 50%% (%+v)",
+		t.Fatalf("batch queued behind a busy worker attributed %.0f%% to queue_wait, want >= 50%% (%+v)",
 			frac*100, batch)
 	}
 }

@@ -23,10 +23,6 @@ type Metrics struct {
 	latency     *obs.HistogramVec
 	stages      *obs.HistogramVec
 	disposition *obs.HistogramVec2
-	// queueWait is the worker-pool queue wait by admission class
-	// (interactive/bulk) — the per-class head-of-line signal the
-	// admission-control scheduler is judged on.
-	queueWait *obs.HistogramVec
 
 	// slowest tracks the worst-latency request seen per
 	// endpoint × disposition pair, with its request ID — the exemplar
@@ -63,16 +59,16 @@ type Metrics struct {
 	ClusterRanges   *obs.CounterVec
 
 	// queueDepth, cacheLen, sweepQueue, storeKeys, flightDropped and
-	// streamSubs are gauge hooks wired by the server.
-	queueDepth            func() int64
-	queueDepthInteractive func() int64
-	queueDepthBulk        func() int64
-	cacheLen              func() int
-	sweepQueue            func() int
-	storeKeys             func() int
-	flightDropped         func() int64
-	streamSubs            func() int64
-	clusterPeers          func() int
+	// streamSubs are gauge hooks wired by the server; memoStats reads the
+	// daemon's stage memo counters.
+	queueDepth    func() int64
+	cacheLen      func() int
+	sweepQueue    func() int
+	storeKeys     func() int
+	flightDropped func() int64
+	streamSubs    func() int64
+	clusterPeers  func() int
+	memoStats     func() map[string]core.MemoStageStats
 }
 
 // slowExemplar is one endpoint × disposition pair's worst request.
@@ -89,17 +85,16 @@ var sweepBuckets = []float64{0.1, 0.5, 1, 5, 10, 30, 60, 300, 600, 1800, 3600}
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		reg:                   reg,
-		slowest:               make(map[string]map[string]slowExemplar),
-		queueDepth:            func() int64 { return 0 },
-		queueDepthInteractive: func() int64 { return 0 },
-		queueDepthBulk:        func() int64 { return 0 },
-		cacheLen:              func() int { return 0 },
-		sweepQueue:            func() int { return 0 },
-		storeKeys:             func() int { return 0 },
-		flightDropped:         func() int64 { return 0 },
-		streamSubs:            func() int64 { return 0 },
-		clusterPeers:          func() int { return 0 },
+		reg:           reg,
+		slowest:       make(map[string]map[string]slowExemplar),
+		queueDepth:    func() int64 { return 0 },
+		cacheLen:      func() int { return 0 },
+		sweepQueue:    func() int { return 0 },
+		storeKeys:     func() int { return 0 },
+		flightDropped: func() int64 { return 0 },
+		streamSubs:    func() int64 { return 0 },
+		clusterPeers:  func() int { return 0 },
+		memoStats:     func() map[string]core.MemoStageStats { return nil },
 	}
 	m.requests = reg.CounterVec("ppatcd_requests_total", "Requests served, by endpoint.", "endpoint")
 	m.CacheHits = reg.Counter("ppatcd_cache_hits_total", "Result-cache hits.")
@@ -108,12 +103,6 @@ func NewMetrics() *Metrics {
 	m.Rejections = reg.Counter("ppatcd_rejections_total", "Requests rejected by a full queue.")
 	reg.GaugeFunc("ppatcd_queue_depth", "Jobs waiting in the worker queue.",
 		func() float64 { return float64(m.queueDepth()) })
-	reg.GaugeFunc("ppatcd_queue_depth_interactive", "Interactive-class jobs waiting in the worker queue.",
-		func() float64 { return float64(m.queueDepthInteractive()) })
-	reg.GaugeFunc("ppatcd_queue_depth_bulk", "Bulk-class jobs waiting in the worker queue.",
-		func() float64 { return float64(m.queueDepthBulk()) })
-	m.queueWait = reg.HistogramVec("ppatcd_queue_wait_seconds",
-		"Worker-pool queue wait, by admission class (interactive/bulk).", "class", nil)
 	reg.GaugeFunc("ppatcd_cache_entries", "Entries in the result cache.",
 		func() float64 { return float64(m.cacheLen()) })
 	m.latency = reg.HistogramVec("ppatcd_request_seconds", "Request latency, by endpoint.", "endpoint", nil)
@@ -171,20 +160,6 @@ func (m *Metrics) ObserveDisposition(endpoint, disposition string, d time.Durati
 	m.slowMu.Unlock()
 }
 
-// ObserveQueueWait records one computation's measured pool queue wait
-// on its admission class.
-//
-//ppatc:hotpath
-func (m *Metrics) ObserveQueueWait(class string, d time.Duration) {
-	m.queueWait.With(class).Observe(d)
-}
-
-// QueueWaitCount reports the per-class queue-wait histogram's
-// observation count (used by tests).
-func (m *Metrics) QueueWaitCount(class string) int64 {
-	return m.queueWait.With(class).Count()
-}
-
 // DispositionCount reports the endpoint × disposition histogram's
 // observation count (used by tests).
 func (m *Metrics) DispositionCount(endpoint, disposition string) int64 {
@@ -222,14 +197,54 @@ func (m *Metrics) StageCount(stage string) int64 {
 }
 
 // WriteTo renders the registry in Prometheus text exposition format,
-// followed by the slowest-request exemplar gauges.
+// followed by the stage-memo counters and the slowest-request exemplar
+// gauges.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	n, err := m.reg.WriteTo(w)
 	if err != nil {
 		return n, err
 	}
+	mn, err := m.writeMemo(w)
+	n += mn
+	if err != nil {
+		return n, err
+	}
 	en, err := m.writeExemplars(w)
 	return n + en, err
+}
+
+// writeMemo renders the daemon's stage-memo traffic as two counters per
+// pipeline stage: misses count the times the stage really ran, hits the
+// times it was replayed.
+func (m *Metrics) writeMemo(w io.Writer) (int64, error) {
+	stats := m.memoStats()
+	if stats == nil {
+		return 0, nil
+	}
+	var n int64
+	for _, series := range []struct {
+		name, help string
+		get        func(core.MemoStageStats) int64
+	}{
+		{"ppatcd_memo_hits_total", "Pipeline stages replayed from the daemon's stage memo, by stage.",
+			func(s core.MemoStageStats) int64 { return s.Hits }},
+		{"ppatcd_memo_misses_total", "Pipeline stages run and stored in the daemon's stage memo, by stage.",
+			func(s core.MemoStageStats) int64 { return s.Misses }},
+	} {
+		c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", series.name, series.help, series.name)
+		n += int64(c)
+		if err != nil {
+			return n, err
+		}
+		for _, stage := range core.Stages() {
+			c, err := fmt.Fprintf(w, "%s{stage=%q} %d\n", series.name, stage, series.get(stats[stage]))
+			n += int64(c)
+			if err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, nil
 }
 
 // writeExemplars renders one gauge line per endpoint × disposition

@@ -15,46 +15,18 @@ var ErrQueueFull = errors.New("server: request queue full")
 // ErrPoolClosed is returned by Pool.Do after Close.
 var ErrPoolClosed = errors.New("server: worker pool closed")
 
-// Class is a job's admission class. Interactive jobs (single
-// evaluations, likely-cached work) are always picked before bulk jobs
-// (cold batch fan-outs), so a 256-tuple cold batch can never put tens
-// of milliseconds of queue ahead of a 100µs request.
-type Class int
-
-const (
-	// ClassInteractive is the default class: request-sized work whose
-	// latency a client is actively waiting on.
-	ClassInteractive Class = iota
-	// ClassBulk is throughput work (cold batch chunks) that must not
-	// delay interactive jobs.
-	ClassBulk
-	numClasses
-)
-
-// String names the class as it appears in metrics labels and flight
-// events.
-func (c Class) String() string {
-	if c == ClassBulk {
-		return "bulk"
-	}
-	return "interactive"
-}
-
-// Pool is a bounded worker pool with one fixed-depth queue per
-// admission class. Work is submitted with a context; jobs whose context
-// is already done when a worker picks them up are skipped, and a full
-// queue rejects immediately rather than blocking the submitter.
-// Workers drain the interactive queue strictly before touching bulk,
-// and when the pool has at least two workers one of them is reserved
-// for interactive work only, so an interactive job's wait is bounded by
-// the remaining runtime of at most one in-flight job rather than the
-// whole bulk backlog.
+// Pool is a bounded worker pool with one fixed-depth FIFO queue. Work
+// is submitted with a context; jobs whose context is already done when
+// a worker picks them up are skipped, and a full queue rejects
+// immediately rather than blocking the submitter.
 type Pool struct {
-	queues [numClasses]chan *job
-	wg     sync.WaitGroup
-	mu     sync.RWMutex
-	done   bool
-	depth  [numClasses]atomic.Int64
+	queue chan *job
+	wg    sync.WaitGroup
+	mu    sync.RWMutex
+	done  bool
+	depth atomic.Int64
+	// busy counts jobs a worker is running right now.
+	busy atomic.Int64
 }
 
 type job struct {
@@ -69,8 +41,8 @@ type job struct {
 	wait time.Duration
 }
 
-// NewPool starts workers goroutines consuming per-class queues of at
-// most queue waiting jobs each (minimums of 1 are enforced).
+// NewPool starts workers goroutines consuming a queue of at most queue
+// waiting jobs (minimums of 1 are enforced).
 func NewPool(workers, queue int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -78,96 +50,36 @@ func NewPool(workers, queue int) *Pool {
 	if queue < 1 {
 		queue = 1
 	}
-	p := &Pool{}
-	for c := range p.queues {
-		p.queues[c] = make(chan *job, queue)
-	}
+	p := &Pool{queue: make(chan *job, queue)}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
-		// Worker 0 is the reserved interactive lane when the pool is big
-		// enough to afford one; a single-worker pool serves both classes.
-		go p.worker(i == 0 && workers > 1)
+		go p.worker()
 	}
 	return p
 }
 
-// worker consumes jobs until every queue it serves is closed and
-// drained. Interactive work is taken with strict priority: a waiting
-// interactive job is always preferred over any number of waiting bulk
-// jobs.
-func (p *Pool) worker(reserved bool) {
+// worker consumes jobs until the queue is closed and drained.
+func (p *Pool) worker() {
 	defer p.wg.Done()
-	qi, qb := p.queues[ClassInteractive], p.queues[ClassBulk]
-	if reserved {
-		qb = nil
-	}
-	for qi != nil || qb != nil {
-		// Strict priority: serve a waiting interactive job first.
-		if qi != nil {
-			select {
-			case j, ok := <-qi:
-				if !ok {
-					qi = nil
-					continue
-				}
-				p.run(j, ClassInteractive)
-				continue
-			default:
-			}
+	for j := range p.queue {
+		p.depth.Add(-1)
+		j.wait = time.Since(j.enq)
+		if j.ctx.Err() == nil {
+			p.busy.Add(1)
+			j.fn()
+			p.busy.Add(-1)
 		}
-		// Nothing interactive waiting: block on whichever class delivers
-		// first (a nil channel blocks forever, so a closed-and-drained
-		// queue simply drops out of the select).
-		select {
-		case j, ok := <-qi:
-			if !ok {
-				qi = nil
-				continue
-			}
-			p.run(j, ClassInteractive)
-		case j, ok := <-qb:
-			if !ok {
-				qb = nil
-				continue
-			}
-			p.run(j, ClassBulk)
-		}
+		close(j.done)
 	}
 }
 
-func (p *Pool) run(j *job, c Class) {
-	p.depth[c].Add(-1)
-	j.wait = time.Since(j.enq)
-	if j.ctx.Err() == nil {
-		j.fn()
-	}
-	close(j.done)
-}
-
-// Do runs fn on a pool worker as interactive work and blocks until it
-// completes or ctx is done. A full queue fails fast with ErrQueueFull.
-// When ctx expires while the job is still queued, the job is abandoned
-// (the worker skips it).
-func (p *Pool) Do(ctx context.Context, fn func()) error {
-	_, err := p.DoClassMeasured(ctx, ClassInteractive, fn)
-	return err
-}
-
-// DoMeasured is Do plus the job's measured queue wait — how long it sat
-// behind other work before a worker picked it up, the raw signal for
-// head-of-line-blocking attribution. The wait is only meaningful when
-// err is nil (an abandoned or rejected job reports 0).
-func (p *Pool) DoMeasured(ctx context.Context, fn func()) (time.Duration, error) {
-	return p.DoClassMeasured(ctx, ClassInteractive, fn)
-}
-
-// DoClassMeasured is DoMeasured on an explicit admission class. Bulk
-// jobs queue behind every interactive job; interactive jobs queue only
-// behind each other.
-func (p *Pool) DoClassMeasured(ctx context.Context, c Class, fn func()) (time.Duration, error) {
-	if c < 0 || c >= numClasses {
-		c = ClassInteractive
-	}
+// Do runs fn on a pool worker and blocks until it completes or ctx is
+// done. wait is the job's measured queue wait — how long it sat behind
+// other work before a worker picked it up — and is only meaningful when
+// err is nil. A full queue fails fast with ErrQueueFull. When ctx
+// expires while the job is still queued, the job is abandoned (the
+// worker skips it).
+func (p *Pool) Do(ctx context.Context, fn func()) (wait time.Duration, err error) {
 	j := &job{ctx: ctx, fn: fn, done: make(chan struct{}), enq: time.Now()}
 	p.mu.RLock()
 	if p.done {
@@ -175,8 +87,8 @@ func (p *Pool) DoClassMeasured(ctx context.Context, c Class, fn func()) (time.Du
 		return 0, ErrPoolClosed
 	}
 	select {
-	case p.queues[c] <- j:
-		p.depth[c].Add(1)
+	case p.queue <- j:
+		p.depth.Add(1)
 		p.mu.RUnlock()
 	default:
 		p.mu.RUnlock()
@@ -190,24 +102,8 @@ func (p *Pool) DoClassMeasured(ctx context.Context, c Class, fn func()) (time.Du
 	}
 }
 
-// QueueDepth reports the number of jobs waiting for a worker across
-// every class.
-func (p *Pool) QueueDepth() int64 {
-	var total int64
-	for c := range p.depth {
-		total += p.depth[c].Load()
-	}
-	return total
-}
-
-// QueueDepthClass reports the number of jobs of one class waiting for
-// a worker.
-func (p *Pool) QueueDepthClass(c Class) int64 {
-	if c < 0 || c >= numClasses {
-		return 0
-	}
-	return p.depth[c].Load()
-}
+// QueueDepth reports the number of jobs waiting for a worker.
+func (p *Pool) QueueDepth() int64 { return p.depth.Load() }
 
 // Close stops accepting new work, lets queued and in-flight jobs finish,
 // and waits for every worker to exit. Safe to call more than once.
@@ -215,9 +111,7 @@ func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.done {
 		p.done = true
-		for c := range p.queues {
-			close(p.queues[c])
-		}
+		close(p.queue)
 	}
 	p.mu.Unlock()
 	p.wg.Wait()

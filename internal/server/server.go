@@ -35,10 +35,8 @@ import (
 type Config struct {
 	// Workers is the evaluation concurrency (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds waiting requests per admission class before
-	// 503s (default 64). Interactive and bulk work queue separately, so
-	// a cold batch filling the bulk queue cannot starve (or reject)
-	// single evaluations.
+	// QueueDepth bounds the computations waiting in the queue before
+	// 503s (default 64).
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache (default 512).
 	CacheEntries int
@@ -148,9 +146,15 @@ func (c Config) withDefaults() Config {
 
 // Server is the PPAtC evaluation service.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	pool     *Pool
+	cfg  Config
+	mux  *http.ServeMux
+	pool *Pool
+	// memo is the process-wide stage memo every evaluate, batch, suite
+	// and tcdp computation runs through. It is bounded because those
+	// endpoints only name bundled systems, workloads and grids. Sweeps
+	// keep their own per-run memo: their specs carry custom clocks and
+	// grid intensities.
+	memo     *core.Memo
 	cache    *LRU
 	flight   *flightGroup
 	sweeps   *sweepManager
@@ -183,6 +187,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
+		memo:    core.NewMemo(),
 		cache:   NewShardedLRU(cfg.CacheEntries, cfg.CacheShards),
 		flight:  newFlightGroup(),
 		metrics: NewMetrics(),
@@ -193,8 +198,7 @@ func New(cfg Config) *Server {
 	s.encodeStaticBodies()
 	s.base, s.cancel = context.WithCancel(context.Background())
 	s.metrics.queueDepth = s.pool.QueueDepth
-	s.metrics.queueDepthInteractive = func() int64 { return s.pool.QueueDepthClass(ClassInteractive) }
-	s.metrics.queueDepthBulk = func() int64 { return s.pool.QueueDepthClass(ClassBulk) }
+	s.metrics.memoStats = s.memo.Stats
 	s.metrics.cacheLen = s.cache.Len
 	s.metrics.flightDropped = s.recorder.Dropped
 	s.metrics.streamSubs = s.recorder.Hub().Subscribers
@@ -374,12 +378,13 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// workFn is one evaluation's encoder: it computes under ctx and writes
-// the JSON body into buf, which the caller owns (it comes from a reused
-// buffer pool — implementations must not retain buf or its bytes).
-// encodeNS reports the time spent serializing the result (as opposed to
-// computing it), so attribution can split the two.
-type workFn func(ctx context.Context, buf *bytes.Buffer) (encodeNS int64, err error)
+// workFn is one evaluation's encoder: it computes under ctx through memo
+// (nil computes every stage fresh) and writes the JSON body into buf,
+// which the caller owns (it comes from a reused buffer pool —
+// implementations must not retain buf or its bytes). encodeNS reports
+// the time spent serializing the result (as opposed to computing it), so
+// attribution can split the two.
+type workFn func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (encodeNS int64, err error)
 
 // encodePool recycles the encode buffers that workFns write into; the
 // cache copies what it stores, so a buffer is free for reuse the moment
@@ -428,15 +433,9 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		return b, "STORE", nil
 	}
 	att.CacheLookupNS += time.Since(lookupStart).Nanoseconds()
-	// rid and the admission class are captured before the detached
-	// goroutine: the leader's response header must not be touched after
-	// the handler returns, and the class decides which pool queue the
-	// computation enters.
+	// rid is captured before the detached goroutine: the leader's
+	// response header must not be touched after the handler returns.
 	rid := att.RequestID
-	class := ClassInteractive
-	if att.Class == "bulk" {
-		class = ClassBulk
-	}
 	b, bd, shared, err := s.flight.Do(ctx, key, func() ([]byte, flight.Breakdown, error) {
 		// The computation runs under the server's lifetime, not any
 		// requester's context, so a canceled requester cannot poison
@@ -464,13 +463,12 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		tr := obs.NewTrace("")
 		tctx := obs.WithTrace(jctx, tr)
 		workStart := time.Now()
-		wait, perr := s.pool.DoClassMeasured(jctx, class, func() { encodeNS, werr = work(tctx, buf) })
+		wait, perr := s.pool.Do(jctx, func() { encodeNS, werr = work(tctx, s.memo, buf) })
 		if perr != nil {
 			return nil, bd, perr
 		}
 		// The pool-measured wait is queue_wait; what the worker actually
 		// ran splits into compute and the workFn's self-reported encode.
-		s.metrics.ObserveQueueWait(class.String(), wait)
 		bd.QueueWaitNS = wait.Nanoseconds()
 		bd.ComputeNS = time.Since(workStart).Nanoseconds() - bd.QueueWaitNS - encodeNS
 		if bd.ComputeNS < 0 {
@@ -536,9 +534,6 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, key strin
 		return
 	}
 	att := attributionOf(w)
-	// Single evaluations are interactive by endpoint: the client is
-	// waiting on exactly one request-sized result.
-	att.Class = ClassInteractive.String()
 	body, disposition, err := s.compute(r.Context(), key, work, att, fwd)
 	att.Disposition = disposition
 	if err != nil {
@@ -563,9 +558,10 @@ type tracedTrace struct {
 	Spans []obs.SpanNode `json:"spans"`
 }
 
-// serveTraced computes fresh (no cache, no coalescing — timings are the
-// point) on the worker pool under a trace whose ID is the request ID,
-// read back from the response header instrument set.
+// serveTraced computes fresh (no cache, no coalescing, no stage memo —
+// timings are the point, so every stage runs and shows in the span tree)
+// on the worker pool under a trace whose ID is the request ID, read back
+// from the response header instrument set.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn) {
 	rid := w.Header().Get("X-Request-ID")
 	att := attributionOf(w)
@@ -579,7 +575,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 	var werr error
 	var encodeNS int64
 	workStart := time.Now()
-	wait, perr := s.pool.DoMeasured(jctx, func() { encodeNS, werr = work(tctx, buf) })
+	wait, perr := s.pool.Do(jctx, func() { encodeNS, werr = work(tctx, nil, buf) })
 	if perr != nil {
 		s.writeComputeError(w, perr)
 		return
@@ -649,12 +645,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // tuple — shared by /v1/evaluate and /v1/batch items so both populate
 // the same cache entries.
 func (s *Server) evaluateWork(sysName string, wl embench.Workload, grid carbon.Grid) workFn {
-	return func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
+	return func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
 		sys, err := core.SystemByName(sysName)
 		if err != nil {
 			return 0, err
 		}
-		res, err := core.EvaluateContext(ctx, sys, wl, grid)
+		res, err := memo.EvaluateContext(ctx, sys, wl, grid)
 		if err != nil {
 			return 0, err
 		}
@@ -686,8 +682,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	key := suiteKey(grid.Name)
 	fwd := s.forwardSpecFor(r, "/v1/suite", key, suiteRequest{Grid: grid.Name})
-	s.serveComputed(w, r, key, func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
-		rows, err := core.SuiteContext(ctx, grid)
+	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
+		rows, err := memo.SuiteContext(ctx, grid)
 		if err != nil {
 			return 0, err
 		}
@@ -709,7 +705,20 @@ type tcdpRequest struct {
 	Months float64 `json:"months"`
 	// OpScales samples the isoline x(y) at these operational-energy
 	// scales (default 0.25..1.5 in steps of 0.25).
-	OpScales []float64 `json:"op_scales"`
+	OpScales opScales `json:"op_scales"`
+}
+
+// opScales is a decoded op_scales list. It counts the entries before it
+// decodes them, so an oversized list is refused without being
+// allocated. Counting commas is exact for an array of numbers, and any
+// other shape fails to decode into []float64 anyway.
+type opScales []float64
+
+func (o *opScales) UnmarshalJSON(b []byte) error {
+	if n := bytes.Count(b, []byte{','}) + 1; n > maxOpScales {
+		return fmt.Errorf("%d op_scales exceed the limit of %d", n, maxOpScales)
+	}
+	return json.Unmarshal(b, (*[]float64)(o))
 }
 
 // tcdpDesign is one design's slice of the tCDP response.
@@ -743,6 +752,13 @@ type tcdpResponse struct {
 	Isoline           []isolinePoint `json:"isoline"`
 }
 
+// maxOpScales bounds the isoline samples of one /v1/tcdp request (the
+// default asks for 6); maxOpScale keeps each sample's y·C_op finite.
+const (
+	maxOpScales = 64
+	maxOpScale  = 1e6
+)
+
 func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	var req tcdpRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -758,16 +774,18 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	if req.Months == 0 {
 		req.Months = 24
 	}
-	if req.Months <= 0 {
-		writeError(w, http.StatusBadRequest, errors.New("months must be positive"))
+	// Positive, and short enough that its on-hours fit the
+	// time.Duration that carbon.Operational converts them to.
+	if err := tcdp.PaperScenario().Usage(units.Months(req.Months)).Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.OpScales) == 0 {
 		req.OpScales = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}
 	}
 	for _, y := range req.OpScales {
-		if y <= 0 {
-			writeError(w, http.StatusBadRequest, errors.New("op_scales must be positive"))
+		if !(y > 0 && y <= maxOpScale) {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("op_scales must be in (0, %g]", maxOpScale))
 			return
 		}
 	}
@@ -785,17 +803,17 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	fwd := s.forwardSpecFor(r, "/v1/tcdp", key, tcdpRequest{
 		Workload: wl.Name, Grid: grid.Name, Months: req.Months, OpScales: req.OpScales,
 	})
-	s.serveComputed(w, r, key, func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
-		return computeTCDP(ctx, buf, wl, grid, req.Months, req.OpScales)
+	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
+		return computeTCDP(ctx, memo, buf, wl, grid, req.Months, req.OpScales)
 	}, fwd)
 }
 
-func computeTCDP(ctx context.Context, buf *bytes.Buffer, wl embench.Workload, grid carbon.Grid, months float64, opScales []float64) (int64, error) {
-	si, err := core.EvaluateContext(ctx, core.AllSiSystem(), wl, grid)
+func computeTCDP(ctx context.Context, memo *core.Memo, buf *bytes.Buffer, wl embench.Workload, grid carbon.Grid, months float64, opScales []float64) (int64, error) {
+	si, err := memo.EvaluateContext(ctx, core.AllSiSystem(), wl, grid)
 	if err != nil {
 		return 0, err
 	}
-	m3d, err := core.EvaluateContext(ctx, core.M3DSystem(), wl, grid)
+	m3d, err := memo.EvaluateContext(ctx, core.M3DSystem(), wl, grid)
 	if err != nil {
 		return 0, err
 	}

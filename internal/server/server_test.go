@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +262,36 @@ func TestTCDPEndpoint(t *testing.T) {
 	}
 }
 
+// TestTCDPOpScalesCountedBeforeDecode pins the op_scales cap: a 1 MiB
+// body of 524,240 entries used to answer 200 with a 40 MB response after
+// allocating about 716 MB, then cache and store it. The entries are
+// counted before they are decoded, so it is a cheap 400.
+func TestTCDPOpScalesCountedBeforeDecode(t *testing.T) {
+	srv, ts := newTestServer(t)
+	var sb strings.Builder
+	sb.WriteString(`{"op_scales":[1`)
+	for i := 1; i < 524240; i++ {
+		sb.WriteString(",1")
+	}
+	sb.WriteString(`]}`)
+	if sb.Len() > 1<<20 {
+		t.Fatalf("test body is %d bytes, over the 1 MiB request limit", sb.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, b := post(t, ts, "/v1/tcdp", sb.String())
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "limit of 64") {
+		t.Errorf("524,240 op_scales: %d %.200s, want 400 naming the limit of 64", resp.StatusCode, b)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("rejecting 524,240 op_scales allocated %d bytes", alloc)
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Errorf("the rejected request left %d cache entries", n)
+	}
+}
+
 func TestSuiteEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite evaluates every workload on both designs")
@@ -306,6 +337,10 @@ func TestBadRequests(t *testing.T) {
 		{"unknown grid", "/v1/evaluate", `{"system":"si","workload":"crc32","grid":"Mars"}`, http.StatusBadRequest},
 		{"bad months", "/v1/tcdp", `{"months":-3}`, http.StatusBadRequest},
 		{"bad scales", "/v1/tcdp", `{"op_scales":[0.5,-1]}`, http.StatusBadRequest},
+		{"on-hours overflow", "/v1/tcdp", `{"months":1e6}`, http.StatusBadRequest},
+		{"infinite months", "/v1/tcdp", `{"months":1e308}`, http.StatusBadRequest},
+		{"isoline overflow", "/v1/tcdp", `{"op_scales":[1e308]}`, http.StatusBadRequest},
+		{"scale above bound", "/v1/tcdp", `{"op_scales":[0.5,1e7]}`, http.StatusBadRequest},
 		{"unknown suite grid", "/v1/suite", `{"grid":"Mars"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

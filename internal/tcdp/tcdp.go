@@ -59,8 +59,8 @@ func PaperScenario() Scenario {
 	return Scenario{StartHour: 20, HoursPerDay: 2, Profile: carbon.Flat(carbon.GridUS)}
 }
 
-// usage builds the carbon.UsagePattern for a lifetime.
-func (s Scenario) usage(life units.Months) carbon.UsagePattern {
+// Usage builds the carbon.UsagePattern for a lifetime.
+func (s Scenario) Usage(life units.Months) carbon.UsagePattern {
 	return carbon.UsagePattern{StartHour: s.StartHour, HoursPerDay: s.HoursPerDay, Lifetime: life}
 }
 
@@ -69,7 +69,7 @@ func TC(d DesignPoint, s Scenario, life units.Months) (carbon.Total, error) {
 	if err := d.Validate(); err != nil {
 		return carbon.Total{}, err
 	}
-	op, err := carbon.Operational(d.Power, s.usage(life), s.Profile)
+	op, err := carbon.Operational(d.Power, s.Usage(life), s.Profile)
 	if err != nil {
 		return carbon.Total{}, err
 	}
