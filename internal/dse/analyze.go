@@ -4,51 +4,69 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// axisValues enumerates the axes a Result can vary over, with a label
-// per level and (for numeric axes) the raw value for correlation.
-var axisValues = []struct {
+// axis is one dimension a Result can vary over: a level key per point,
+// a label per level and (for numeric axes) the raw value for
+// correlation. Levels are counted by key; only axes small enough for a
+// level table format their labels.
+type axis struct {
 	name    string
+	key     func(*Result) levelKey
 	label   func(*Result) string
 	numeric func(*Result) (float64, bool)
-}{
-	{"system", func(r *Result) string { return r.System }, nil},
-	{"workload", func(r *Result) string { return r.Workload }, nil},
-	{"grid", func(r *Result) string { return r.Grid },
-		func(r *Result) (float64, bool) { return r.GridGPerKWh, true }},
-	{"clock_mhz", func(r *Result) string { return fmt.Sprintf("%g", r.ClockMHz) },
-		func(r *Result) (float64, bool) { return r.ClockMHz, true }},
-	{"lifetime_months", func(r *Result) string { return fmt.Sprintf("%g", r.LifetimeMonths) },
-		func(r *Result) (float64, bool) { return r.LifetimeMonths, true }},
-	{"ci_use_scale", func(r *Result) string { return fmt.Sprintf("%g", r.CIUseScale) },
-		func(r *Result) (float64, bool) { return r.CIUseScale, true }},
-	{"yield_d0", labelPtr(func(r *Result) *float64 { return r.YieldD0 }),
-		numPtr(func(r *Result) *float64 { return r.YieldD0 })},
-	{"m3d_yield", labelPtr(func(r *Result) *float64 { return r.M3DYield }),
-		numPtr(func(r *Result) *float64 { return r.M3DYield })},
-	{"m3d_embodied_scale", labelPtr(func(r *Result) *float64 { return r.M3DEmbodiedScale }),
-		numPtr(func(r *Result) *float64 { return r.M3DEmbodiedScale })},
 }
 
-func labelPtr(get func(*Result) *float64) func(*Result) string {
-	return func(r *Result) string {
-		if p := get(r); p != nil {
-			return fmt.Sprintf("%g", *p)
-		}
-		return "-"
+// levelKey identifies one level of an axis without formatting it: the
+// string of a categorical axis, or the bits of a numeric one.
+type levelKey struct {
+	s string
+	v optBits
+}
+
+// axisValues enumerates the axes in report order.
+var axisValues = []axis{
+	stringAxis("system", func(r *Result) string { return r.System }, nil),
+	stringAxis("workload", func(r *Result) string { return r.Workload }, nil),
+	stringAxis("grid", func(r *Result) string { return r.Grid },
+		func(r *Result) (float64, bool) { return r.GridGPerKWh, true }),
+	floatAxis("clock_mhz", func(r *Result) *float64 { return &r.ClockMHz }),
+	floatAxis("lifetime_months", func(r *Result) *float64 { return &r.LifetimeMonths }),
+	floatAxis("ci_use_scale", func(r *Result) *float64 { return &r.CIUseScale }),
+	floatAxis("yield_d0", func(r *Result) *float64 { return r.YieldD0 }),
+	floatAxis("m3d_yield", func(r *Result) *float64 { return r.M3DYield }),
+	floatAxis("m3d_embodied_scale", func(r *Result) *float64 { return r.M3DEmbodiedScale }),
+}
+
+func stringAxis(name string, get func(*Result) string, numeric func(*Result) (float64, bool)) axis {
+	return axis{name, func(r *Result) levelKey { return levelKey{s: get(r)} }, get, numeric}
+}
+
+// floatAxis is a numeric axis; get returns nil where it is unset, and
+// unset points form the "-" level.
+func floatAxis(name string, get func(*Result) *float64) axis {
+	return axis{
+		name,
+		func(r *Result) levelKey { return levelKey{v: optFloat(get(r))} },
+		func(r *Result) string {
+			if p := get(r); p != nil {
+				return formatG(*p)
+			}
+			return "-"
+		},
+		func(r *Result) (float64, bool) {
+			if p := get(r); p != nil {
+				return *p, true
+			}
+			return 0, false
+		},
 	}
 }
 
-func numPtr(get func(*Result) *float64) func(*Result) (float64, bool) {
-	return func(r *Result) (float64, bool) {
-		if p := get(r); p != nil {
-			return *p, true
-		}
-		return 0, false
-	}
-}
+// formatG renders v exactly as fmt's %g does.
+func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // AxisSensitivity summarizes how much one axis moves a metric.
 type AxisSensitivity struct {
@@ -78,15 +96,18 @@ const maxLevelTable = 16
 // with few levels get a per-level mean contrast (the Fig. 6b view);
 // densely sampled axes get a Pearson correlation instead.
 func Sensitivity(results []Result, metric string) ([]AxisSensitivity, error) {
-	if !ValidMetric(metric) {
+	get := metricGetter(metric)
+	if get == nil {
 		return nil, fmt.Errorf("dse: unknown metric %q", metric)
 	}
 	var feasible []*Result
+	var ys []float64
 	var grand float64
 	for i := range results {
 		if results[i].Feasible {
 			feasible = append(feasible, &results[i])
-			v, _ := results[i].Metric(metric)
+			v := get(&results[i])
+			ys = append(ys, v)
 			grand += v
 		}
 	}
@@ -95,17 +116,26 @@ func Sensitivity(results []Result, metric string) ([]AxisSensitivity, error) {
 	}
 	grand /= float64(len(feasible))
 
+	// level accumulates one axis level in first-seen order.
+	type level struct {
+		first *Result
+		sum   float64
+		n     int
+	}
 	var out []AxisSensitivity
 	for _, ax := range axisValues {
-		levels := map[string][]float64{}
-		var order []string
-		for _, r := range feasible {
-			l := ax.label(r)
-			if _, seen := levels[l]; !seen {
-				order = append(order, l)
+		index := map[levelKey]int{}
+		var levels []level
+		for i, r := range feasible {
+			k := ax.key(r)
+			l, seen := index[k]
+			if !seen {
+				l = len(levels)
+				index[k] = l
+				levels = append(levels, level{first: r})
 			}
-			v, _ := r.Metric(metric)
-			levels[l] = append(levels[l], v)
+			levels[l].sum += ys[i]
+			levels[l].n++
 		}
 		if len(levels) < 2 {
 			continue
@@ -113,17 +143,13 @@ func Sensitivity(results []Result, metric string) ([]AxisSensitivity, error) {
 		s := AxisSensitivity{Axis: ax.name, Levels: len(levels)}
 		if len(levels) <= maxLevelTable {
 			var lo, hi float64
-			for i, l := range order {
-				var m float64
-				for _, v := range levels[l] {
-					m += v
-				}
-				m /= float64(len(levels[l]))
+			for i, l := range levels {
+				m := l.sum / float64(l.n)
 				if i == 0 || m < lo {
-					lo, s.Best = m, l
+					lo, s.Best = m, ax.label(l.first)
 				}
 				if i == 0 || m > hi {
-					hi, s.Worst = m, l
+					hi, s.Worst = m, ax.label(l.first)
 				}
 			}
 			s.Spread = hi - lo
@@ -132,7 +158,7 @@ func Sensitivity(results []Result, metric string) ([]AxisSensitivity, error) {
 			}
 		}
 		if ax.numeric != nil {
-			s.Corr = pearson(feasible, ax.numeric, metric)
+			s.Corr = pearson(feasible, ys, ax.numeric)
 		}
 		out = append(out, s)
 	}
@@ -147,33 +173,30 @@ func Sensitivity(results []Result, metric string) ([]AxisSensitivity, error) {
 	return out, nil
 }
 
-// pearson computes the correlation between an axis value and a metric
-// over the results where the axis is set.
-func pearson(results []*Result, value func(*Result) (float64, bool), metric string) float64 {
-	var xs, ys []float64
-	for _, r := range results {
-		x, ok := value(r)
-		if !ok {
-			continue
+// pearson computes the correlation between an axis value and the
+// metric values ys (one per result) over the results where the axis is
+// set, in two passes that copy nothing.
+func pearson(results []*Result, ys []float64, value func(*Result) (float64, bool)) float64 {
+	var n, mx, my float64
+	for i, r := range results {
+		if x, ok := value(r); ok {
+			n++
+			mx += x
+			my += ys[i]
 		}
-		y, _ := r.Metric(metric)
-		xs = append(xs, x)
-		ys = append(ys, y)
 	}
-	n := float64(len(xs))
 	if n < 2 {
 		return 0
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
 	}
 	mx /= n
 	my /= n
 	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
+	for i, r := range results {
+		x, ok := value(r)
+		if !ok {
+			continue
+		}
+		dx, dy := x-mx, ys[i]-my
 		sxy += dx * dy
 		sxx += dx * dx
 		syy += dy * dy
@@ -223,51 +246,56 @@ type WinnerSummary struct {
 // coordinate on the objective. An infeasible system loses to any
 // feasible one; coordinates with no feasible system are skipped.
 func Winners(results []Result, obj Objective) (*WinnerSummary, error) {
-	if !ValidMetric(obj.Metric) {
+	get := metricGetter(obj.Metric)
+	if get == nil {
 		return nil, fmt.Errorf("dse: unknown metric %q", obj.Metric)
 	}
-	groups := map[string][]*Result{}
-	var order []string
+	// contest is one coordinate's running best, fed in input order.
+	type contest struct {
+		best  *Result
+		bestV float64
+		tie   bool
+	}
+	index := map[groupKey]int{}
+	var contests []contest
 	for i := range results {
-		k := results[i].groupKey()
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
+		r := &results[i]
+		k := r.groupKey()
+		g, seen := index[k]
+		if !seen {
+			g = len(contests)
+			index[k] = g
+			contests = append(contests, contest{})
 		}
-		groups[k] = append(groups[k], &results[i])
+		if !r.Feasible {
+			continue
+		}
+		v := get(r)
+		if obj.Maximize {
+			v = -v
+		}
+		c := &contests[g]
+		switch {
+		case c.best == nil || v < c.bestV:
+			c.best, c.bestV, c.tie = r, v, false
+		case v == c.bestV:
+			c.tie = true
+		}
 	}
 	w := &WinnerSummary{
 		Metric: obj.Metric, Maximize: obj.Maximize,
 		Wins: map[string]int{}, Probability: map[string]float64{},
 	}
-	for _, k := range order {
-		group := groups[k]
-		var best *Result
-		var bestV float64
-		tie := false
-		for _, r := range group {
-			if !r.Feasible {
-				continue
-			}
-			v, _ := r.Metric(obj.Metric)
-			if obj.Maximize {
-				v = -v
-			}
-			switch {
-			case best == nil || v < bestV:
-				best, bestV, tie = r, v, false
-			case v == bestV:
-				tie = true
-			}
-		}
-		if best == nil {
+	for _, c := range contests {
+		if c.best == nil {
 			continue // nothing feasible at this coordinate
 		}
 		w.Groups++
-		if tie {
+		if c.tie {
 			w.Ties++
 			continue
 		}
-		w.Wins[best.System]++
+		w.Wins[c.best.System]++
 	}
 	if w.Groups == 0 {
 		return nil, fmt.Errorf("dse: no feasible results")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -76,38 +77,67 @@ func MetricKeys() []string {
 }
 
 // ValidMetric reports whether key names a Result metric.
-func ValidMetric(key string) bool {
+func ValidMetric(key string) bool { return metricGetter(key) != nil }
+
+// metricGetter resolves a metric key to its accessor once, so the
+// analyses don't scan metricKeys per point; nil for unknown keys.
+func metricGetter(key string) func(*Result) float64 {
 	for _, m := range metricKeys {
 		if m.key == key {
-			return true
+			return m.get
 		}
 	}
-	return false
+	return nil
 }
 
 // Metric reads one metric by key; ok is false for unknown keys.
 func (r *Result) Metric(key string) (v float64, ok bool) {
-	for _, m := range metricKeys {
-		if m.key == key {
-			return m.get(r), true
-		}
+	if get := metricGetter(key); get != nil {
+		return get(r), true
 	}
 	return 0, false
 }
 
-// groupKey identifies the point's coordinate with the system axis erased
-// — results sharing a key are paired observations of different systems.
-func (r *Result) groupKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%s|%g|%g|%g|%d", r.Workload, r.Grid, r.ClockMHz, r.LifetimeMonths, r.CIUseScale, r.Replica)
-	for _, p := range []*float64{r.YieldD0, r.M3DYield, r.M3DEmbodiedScale} {
-		if p == nil {
-			sb.WriteString("|-")
-		} else {
-			fmt.Fprintf(&sb, "|%g", *p)
-		}
+// optBits is an optional float axis value compared by bits: set is
+// false when the axis is unset.
+type optBits struct {
+	set  bool
+	bits uint64
+}
+
+func optFloat(p *float64) optBits {
+	if p == nil {
+		return optBits{}
 	}
-	return sb.String()
+	return optBits{set: true, bits: floatBits(*p)}
+}
+
+// floatBits keys a float by its bits, with every NaN folded into one
+// key, so two values share a key exactly when their %g labels match.
+func floatBits(v float64) uint64 {
+	if v != v {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
+}
+
+// groupKey identifies a point's coordinate with the system axis erased
+// — results sharing a key are paired observations of different systems.
+type groupKey struct {
+	workload, grid                      string
+	clock, lifetime, ciUseScale         uint64
+	replica                             int
+	yieldD0, m3dYield, m3dEmbodiedScale optBits
+}
+
+func (r *Result) groupKey() groupKey {
+	return groupKey{
+		workload: r.Workload, grid: r.Grid,
+		clock: floatBits(r.ClockMHz), lifetime: floatBits(r.LifetimeMonths),
+		ciUseScale: floatBits(r.CIUseScale), replica: r.Replica,
+		yieldD0: optFloat(r.YieldD0), m3dYield: optFloat(r.M3DYield),
+		m3dEmbodiedScale: optFloat(r.M3DEmbodiedScale),
+	}
 }
 
 // MarshalLine encodes the result as one compact NDJSON line (with the

@@ -17,8 +17,9 @@ import (
 
 // Store record kinds written by the sweep engine.
 const (
-	KindPoint = "point"
-	KindSweep = "sweep"
+	KindPoint    = "point"
+	KindSweep    = "sweep"
+	KindAnalyses = "dse"
 )
 
 // PointKey is the canonical store key of one plan point: every input
@@ -50,6 +51,10 @@ func planPointKey(plan *Plan, p Point) string {
 
 // SweepKey is the store key of a finished sweep's ordered result set.
 func SweepKey(id string) string { return "sweep|" + id }
+
+// AnalysesKey is the store key of a finished sweep's encoded analysis
+// bundle (frontier, sensitivity, winners), stored beside SweepKey(id).
+func AnalysesKey(id string) string { return "dse|" + id }
 
 // StoredCompleted scans st for results of plan's points computed by any
 // earlier job and returns them keyed by plan index — the shape of

@@ -406,13 +406,6 @@ func (co *sweepCoord) err() error {
 	return co.failed
 }
 
-// finalResults returns the merged results after done closes cleanly.
-func (co *sweepCoord) finalResults() []dse.Result {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.results
-}
-
 // runDistributedSweep is the cluster branch of runSweep: shard the
 // plan, invite every alive peer, and work the lease table locally too
 // (the coordinator is also a worker, and the local loop steals expired
@@ -464,8 +457,6 @@ func (s *Server) runDistributedSweep(ctx context.Context, j *sweepJob, completed
 	case co.err() != nil:
 		s.finishSweep(j, SweepFailed, co.err(), start)
 	default:
-		results := co.finalResults()
-		s.persistSweep(j.id, results, j.requestID)
 		s.finishSweep(j, SweepDone, nil, start)
 	}
 }

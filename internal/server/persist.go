@@ -230,6 +230,47 @@ func (s *Server) persistSweep(id string, results []dse.Result, requestID string)
 	s.metrics.StoreWrites.Add(1)
 }
 
+// persistAnalyses stores a done sweep's encoded analysis bundle beside
+// its result set, so /frontier survives a restart.
+func (s *Server) persistAnalyses(id string, body []byte, requestID string) {
+	if s.store == nil {
+		return
+	}
+	err := s.store.Put(store.Record{Key: dse.AnalysesKey(id), Kind: dse.KindAnalyses, Body: body})
+	if err != nil {
+		s.metrics.StoreErrors.Add(1)
+		s.log.Warn("sweep analyses persist failed", "id", id, "request_id", requestID, "error", err)
+		return
+	}
+	s.metrics.StoreWrites.Add(1)
+}
+
+// serveStoredSweepFrontier replays a finished sweep's analysis bundle
+// from the store for an ID the job table no longer knows, byte for byte
+// as the live job served it.
+func (s *Server) serveStoredSweepFrontier(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	var rec store.Record
+	ok := false
+	if s.store != nil {
+		var err error
+		rec, ok, err = s.store.Get(dse.AnalysesKey(id))
+		if err != nil {
+			s.metrics.StoreErrors.Add(1)
+			s.log.Warn("stored sweep analyses read failed", "id", id, "error", err)
+			ok = false
+		}
+	}
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
+		return
+	}
+	s.metrics.StoreHits.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Cache", "STORE")
+	_, _ = w.Write(rec.Body)
+}
+
 // resultInfo is one entry of the GET /v1/results listing.
 type resultInfo struct {
 	Key   string `json:"key"`

@@ -199,6 +199,56 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestFrontierSurvivesRestart checks a done sweep's analysis bundle is
+// persisted beside its results: after a restart on the same store the
+// /frontier bytes are the ones the live job served, with no
+// re-evaluation, and an unknown ID is still a 404.
+func TestFrontierSurvivesRestart(t *testing.T) {
+	cfg := quietConfig()
+	cfg.StoreDir = t.TempDir()
+
+	srv1 := New(cfg)
+	ts1 := httptest.NewServer(srv1.Handler())
+	_, b := post(t, ts1, "/v1/sweeps", smokeSweep)
+	var st sweepStatus
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatalf("sweep create: %v", err)
+	}
+	if got := waitSweep(t, ts1, st.ID); got.Status != SweepDone {
+		t.Fatalf("sweep ended %q: %s", got.Status, got.Error)
+	}
+	resp, live := get(t, ts1, "/v1/sweeps/"+st.ID+"/frontier")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live frontier: status %d: %s", resp.StatusCode, live)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	srv2 := New(cfg)
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.Close()
+	})
+	resp, stored := get(t, ts2, "/v1/sweeps/"+st.ID+"/frontier")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("frontier after restart: status %d: %s", resp.StatusCode, stored)
+	}
+	if resp.Header.Get("X-Cache") != "STORE" || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("headers X-Cache %q Content-Type %q, want STORE and application/json",
+			resp.Header.Get("X-Cache"), resp.Header.Get("Content-Type"))
+	}
+	if !bytes.Equal(stored, live) {
+		t.Errorf("frontier after restart differs from the live one:\n%s\nvs\n%s", stored, live)
+	}
+	if got := srv2.Metrics().SweepPoints.Load(); got != 0 {
+		t.Errorf("restarted daemon evaluated %d sweep points, want 0", got)
+	}
+	if resp, _ := get(t, ts2, "/v1/sweeps/nosuchsweep/frontier"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown sweep frontier: status %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestStoreDispositionAfterEviction pins the middle tier: evicted from
 // the LRU but present on disk is served as X-Cache: STORE, not
 // recomputed.

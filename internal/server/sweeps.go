@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -42,6 +44,10 @@ type sweepJob struct {
 	cancel   context.CancelFunc
 	created  time.Time
 	finished time.Time
+	// analyses is the encoded /frontier body, built once as the job
+	// reaches SweepDone; analysesErr is why it could not be.
+	analyses    []byte
+	analysesErr error
 }
 
 func (j *sweepJob) commit(r dse.Result) {
@@ -205,10 +211,9 @@ func (s *Server) runSweep(j *sweepJob) {
 		return
 	}
 
-	results, err := dse.RunPlan(ctx, j.plan, opts)
+	_, err := dse.RunPlan(ctx, j.plan, opts)
 	switch {
 	case err == nil:
-		s.persistSweep(j.id, results, j.requestID)
 		s.finishSweep(j, SweepDone, nil, start)
 	case errors.Is(err, errSweepCancelled):
 		s.finishSweep(j, SweepCancelled, nil, start)
@@ -220,10 +225,27 @@ func (s *Server) runSweep(j *sweepJob) {
 	}
 }
 
+// finishSweep moves a job to its terminal status. A done job's results
+// are complete in j.results: they are persisted for replay, and the
+// analysis bundle is built and stored before the status flips, so every
+// client that sees "done" can fetch it without further computation.
 func (s *Server) finishSweep(j *sweepJob, status string, err error, start time.Time) {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
+	}
+	if status == SweepDone {
+		j.mu.Lock()
+		results := j.results
+		j.mu.Unlock()
+		s.persistSweep(j.id, results, j.requestID)
+		body, aerr := encodeAnalyses(j.plan.Spec.Objectives, results)
+		if aerr == nil {
+			s.persistAnalyses(j.id, body, j.requestID)
+		}
+		j.mu.Lock()
+		j.analyses, j.analysesErr = body, aerr
+		j.mu.Unlock()
 	}
 	j.setStatus(status, msg)
 	s.metrics.SweepJobs.With(status).Add(1)
@@ -392,42 +414,62 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSweepFrontier serves the analysis bundle of a finished sweep:
-// the Pareto frontier over the spec's objectives, the per-axis
-// sensitivity of the first objective, and the win-probability summary.
-func (s *Server) handleSweepFrontier(w http.ResponseWriter, r *http.Request) {
-	j := s.sweepByPath(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	status := j.status
-	results := j.results
-	j.mu.Unlock()
-	if status != SweepDone {
-		writeError(w, http.StatusConflict, fmt.Errorf("sweep is %s; analyses need a done sweep", status))
-		return
-	}
-	objectives := j.plan.Spec.Objectives
+// sweepAnalyses is the analysis bundle of a finished sweep: the Pareto
+// frontier over the spec's objectives, the per-axis sensitivity of the
+// first objective, and the win-probability summary.
+type sweepAnalyses struct {
+	Objectives  []dse.Objective       `json:"objectives"`
+	Frontier    []dse.Result          `json:"frontier"`
+	Sensitivity []dse.AxisSensitivity `json:"sensitivity,omitempty"`
+	Winners     *dse.WinnerSummary    `json:"winners,omitempty"`
+}
+
+// encodeAnalyses computes a done sweep's analysis bundle and encodes it
+// as the GET /v1/sweeps/{id}/frontier body. Sensitivity and winners are
+// omitted when the sweep gives them nothing to rank.
+func encodeAnalyses(objectives []dse.Objective, results []dse.Result) ([]byte, error) {
 	front, err := dse.Frontier(results, objectives)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, err
 	}
-	type analyses struct {
-		Objectives  []dse.Objective       `json:"objectives"`
-		Frontier    []dse.Result          `json:"frontier"`
-		Sensitivity []dse.AxisSensitivity `json:"sensitivity,omitempty"`
-		Winners     *dse.WinnerSummary    `json:"winners,omitempty"`
-	}
-	out := analyses{Objectives: objectives, Frontier: front}
+	out := sweepAnalyses{Objectives: objectives, Frontier: front}
 	if sens, err := dse.Sensitivity(results, objectives[0].Metric); err == nil {
 		out.Sensitivity = sens
 	}
 	if win, err := dse.Winners(results, objectives[0]); err == nil {
 		out.Winners = win
 	}
-	writeJSON(w, out)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// handleSweepFrontier serves a done sweep's analysis bundle, as built
+// when the sweep finished; the request does no analysis work. An ID the
+// job table no longer knows replays the bundle from the store.
+func (s *Server) handleSweepFrontier(w http.ResponseWriter, r *http.Request) {
+	j := s.sweeps.get(r.PathValue("id"))
+	if j == nil {
+		s.serveStoredSweepFrontier(w, r)
+		return
+	}
+	j.mu.Lock()
+	status, body, err := j.status, j.analyses, j.analysesErr
+	j.mu.Unlock()
+	if status != SweepDone {
+		writeError(w, http.StatusConflict, fmt.Errorf("sweep is %s; analyses need a done sweep", status))
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -134,6 +135,73 @@ func TestSweepLifecycle(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestSweepFrontierBuiltAtFinish checks the analysis bundle is built
+// once, when the job finishes: a GET serves those bytes and does no
+// analysis work, so changing the job's results afterwards changes
+// nothing it returns.
+func TestSweepFrontierBuiltAtFinish(t *testing.T) {
+	srv, ts := newSweepServer(t, quietConfig())
+	_, body := post(t, ts, "/v1/sweeps", smokeSweep)
+	var st sweepStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitSweep(t, ts, st.ID); got.Status != SweepDone {
+		t.Fatalf("sweep ended %q: %s", got.Status, got.Error)
+	}
+	j := srv.sweeps.get(st.ID)
+	j.mu.Lock()
+	built, results := j.analyses, j.results
+	j.results = nil
+	j.mu.Unlock()
+	if len(built) == 0 {
+		t.Fatal("done job has no analysis bundle")
+	}
+	want, err := encodeAnalyses(j.plan.Spec.Objectives, results)
+	if err != nil || !bytes.Equal(built, want) {
+		t.Fatalf("bundle built at finish differs from the analyses of its results (err %v)", err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, got := get(t, ts, "/v1/sweeps/"+st.ID+"/frontier")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("frontier: %d %q %s", resp.StatusCode, resp.Header.Get("Content-Type"), got)
+		}
+		if !bytes.Equal(got, built) {
+			t.Fatalf("GET %d served %s, want the bundle built at finish", i, got)
+		}
+	}
+}
+
+// TestSweepFrontierNonFinite checks a done sweep whose frontier cannot
+// be computed answers 422 with the reason, not a frontier holding the
+// NaN point.
+func TestSweepFrontierNonFinite(t *testing.T) {
+	srv, ts := newSweepServer(t, quietConfig())
+	spec, err := dse.ParseSpec(strings.NewReader(smokeSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := dse.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &sweepJob{id: "nonfinite", plan: plan, status: SweepRunning, notify: make(chan struct{}), created: time.Now()}
+	j.results = []dse.Result{
+		{Index: 0, System: "si", Feasible: true, ExecTimeS: 1, TCG: 2},
+		{Index: 1, System: "m3d", Feasible: true, ExecTimeS: 1, TCG: math.NaN()},
+	}
+	srv.sweeps.mu.Lock()
+	srv.sweeps.jobs[j.id] = j
+	srv.sweeps.order = append(srv.sweeps.order, j.id)
+	srv.sweeps.mu.Unlock()
+	srv.finishSweep(j, SweepDone, nil, time.Now())
+
+	resp, body := get(t, ts, "/v1/sweeps/"+j.id+"/frontier")
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "non-finite") {
+		t.Fatalf("frontier over a NaN objective: %d %s, want 422 non-finite", resp.StatusCode, body)
 	}
 }
 
